@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import simulator
 from .config import Config
+from .decoy import EpsilonLedger
 from .errors import ConfigError, EstimateUnavailable, NoAdmissibleKey
 from .keylength import key_length_for_mode
 from .optimizer import optimize
-from .protocol import precompute_key_length, run_protocol
+from .protocol import ProtocolParams, precompute_key_length, run_protocol
 from .simulator import generate_rounds, validate_bounds
 
 EXIT_OK = 0
@@ -41,6 +43,14 @@ def _rng(seed: int) -> np.random.Generator:
 def _resolve_mode(cfg: Config, flag: Optional[str]) -> str:
     inferred = "2decoy" if cfg.has("protocol.mu3") else "1decoy"
     return flag or inferred
+
+
+def _protocol_params(cfg: Config, args: argparse.Namespace) -> ProtocolParams:
+    params = cfg.protocol_params()
+    mode = _resolve_mode(cfg, args.mode)
+    if mode != params.mode:
+        raise ConfigError(f"--mode {mode} does not match the configured intensities")
+    return params
 
 
 def cmd_keylength(cfg: Config, args: argparse.Namespace) -> int:
@@ -72,10 +82,7 @@ def cmd_keylength(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
-    params = cfg.protocol_params()
-    mode = _resolve_mode(cfg, args.mode)
-    if mode != params.mode:
-        raise ConfigError(f"--mode {mode} does not match the configured intensities")
+    params = _protocol_params(cfg, args)
     channel = cfg.channel()
     policy = cfg.get_str("simulate.double_click_policy", "random")
     trials = args.trials or cfg.get_int("run.trials", 10)
@@ -124,20 +131,14 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: Config, args: argparse.Namespace) -> int:
-    params = cfg.protocol_params()
-    mode = _resolve_mode(cfg, args.mode)
-    if mode != params.mode:
-        raise ConfigError(f"--mode {mode} does not match the configured intensities")
+    params = _protocol_params(cfg, args)
     channel = cfg.channel()
     trials = args.trials or cfg.get_int("run.trials", 1000)
     seed = args.seed if args.seed is not None else cfg.get_int("run.seed", 0)
     if cfg.has("ledger.eps"):
-        eps = cfg.get_float("ledger.eps")
+        ledger = EpsilonLedger.uniform(cfg.get_float("ledger.eps"), len(params.intensities.values))
     else:
-        eps = params.budget().eps0
-    from .decoy import EpsilonLedger
-
-    ledger = EpsilonLedger.uniform(eps, len(params.intensities.values))
+        ledger = params.ledger()
     policy = cfg.get_str("simulate.double_click_policy", "random")
     report = validate_bounds(
         params, channel, trials, ledger, _rng(seed),
@@ -182,12 +183,7 @@ def cmd_scan(cfg: Config, args: argparse.Namespace) -> int:
     rows = [SCAN_HEADER]
     for loss_db in cfg.scan_losses_db():
         eta = base_channel.transmittance * 10.0 ** (-loss_db / 10.0)
-        channel = simulator.ChannelModel(
-            transmittance=eta,
-            detector_efficiency=base_channel.detector_efficiency,
-            dark_count_prob=base_channel.dark_count_prob,
-            misalignment=base_channel.misalignment,
-        )
+        channel = replace(base_channel, transmittance=eta)
         result = optimize(space, channel, settings, method)
         rows.append(f"{loss_db:.12g},{result.best_rate:.12g},{settings.margin:.12g}")
     text = "\n".join(rows) + "\n"

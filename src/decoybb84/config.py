@@ -54,11 +54,6 @@ class Config:
     def to_text(self) -> str:
         return serialize_config(self.values)
 
-    def _get(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"missing config key {key!r}")
-        return self.values[key]
-
     def get_float(self, key: str, default: Optional[float] = None) -> float:
         if key not in self.values:
             if default is None:
@@ -124,6 +119,10 @@ class Config:
         )
 
     def protocol_params(self) -> ProtocolParams:
+        # Reconciliation is forward by construction; the key is accepted only
+        # with that value so that a config asking for another fails loudly.
+        if self.get_str("protocol.ec_direction", "forward") != "forward":
+            raise ConfigError("protocol.ec_direction: only forward error correction is supported")
         gamma = self.get_float("keylength.gamma_override") if self.has("keylength.gamma_override") else None
         return ProtocolParams(
             intensities=self.intensities(),
@@ -136,7 +135,6 @@ class Config:
             leak_ec=self.get_float("protocol.leak_ec"),
             f_ec=self.get_float("protocol.f_ec", 1.16),
             ec_success_prob=self.get_float("protocol.ec_success_prob", 1.0),
-            ec_direction=self.get_str("protocol.ec_direction", "forward"),
             gamma_override=gamma,
         )
 

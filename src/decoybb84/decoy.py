@@ -6,6 +6,7 @@ bounds on vacuum events, a lower bound on single-photon events, an upper
 bound on single-photon errors and an upper bound on the single-photon QBER.
 Two intensity levels give the 1-decoy variant, three give the 2-decoy
 variant; the two differ only in the bound formulas and the epsilon ledger.
+``decoy_bounds`` is the entry point: it picks the bound set of the mode.
 
 Bounds are computed in real arithmetic and never rounded. Lower count
 intervals are clipped at zero before entering composite expressions and every
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import ConfigError, EstimateUnavailable
-from .numerics import hoeffding_delta, tau_m
+from .numerics import TOL, hoeffding_delta, tau_m
 
 BASES = ("Z", "X")
 
@@ -43,7 +44,7 @@ class Intensities:
             raise ConfigError("one probability per intensity level required")
         if any(not 0.0 < p < 1.0 for p in self.probabilities):
             raise ConfigError("intensity probabilities must lie in (0, 1)")
-        if abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
+        if abs(math.fsum(self.probabilities) - 1.0) > TOL.intensity_prob_sum:
             raise ConfigError("intensity probabilities must sum to 1")
         mus = self.values
         if len(mus) == 2:
@@ -92,7 +93,8 @@ class BasisStats:
             raise ConfigError("counts must be nonnegative")
         if any(c > n for c, n in zip(self.errors, self.detections)):
             raise ConfigError("per-intensity errors cannot exceed detections")
-        if abs(math.fsum(self.detections) - self.block_size) > 1e-6:
+        mismatch = abs(math.fsum(self.detections) - self.block_size)
+        if mismatch > TOL.detection_sum * max(self.block_size, 1.0):
             raise ConfigError("per-intensity detections must sum to the block size")
 
     @property
@@ -347,6 +349,15 @@ def phase_error_upper(v1_upper: float, s1_lower_x: float) -> float:
     return _clip(v1_upper / s1_lower_x, 0.0, 1.0)
 
 
+def _lambda_bound(v1_upper: float, s1_lower_x: float) -> Tuple[Optional[float], Optional[str]]:
+    """(lambda_upper, abort_reason): the phase-error bound, or None with the
+    reason when no single-photon estimate survives."""
+    try:
+        return phase_error_upper(v1_upper, s1_lower_x), None
+    except EstimateUnavailable as exc:
+        return None, str(exc)
+
+
 def delta_ci_1decoy(ledger: EpsilonLedger, k_min_z: int, k_min_x: int) -> float:
     """Total failure budget of the 1-decoy bound set: the ten-term sum over
     every concentration inequality used, duplicates across bounds already
@@ -386,14 +397,11 @@ def delta_ci_2decoy(ledger: EpsilonLedger) -> float:
 
 
 def _basis_bounds_1decoy(
-    stats: BasisStats,
-    intens: Intensities,
-    ledger: EpsilonLedger,
-    k_choice: Union[str, int],
+    stats: BasisStats, intens: Intensities, ledger: EpsilonLedger
 ) -> Tuple[float, float, float, int]:
     """(s0_lower, s0_upper, s1_lower, k_min index) for one basis."""
     s0_lower = vacuum_lower_1decoy(stats, intens, ledger)
-    s0_upper, k_idx = vacuum_upper_1decoy(stats, intens, ledger, k_choice)
+    s0_upper, k_idx = vacuum_upper_1decoy(stats, intens, ledger)
     s1_lower = single_lower_1decoy(stats, intens, ledger, s0_upper)
     return s0_lower, s0_upper, s1_lower, k_idx
 
@@ -403,8 +411,6 @@ def bounds_1decoy(
     stats_x: BasisStats,
     intens: Intensities,
     ledger: EpsilonLedger,
-    k_min_z: Union[str, int] = AUTO,
-    k_min_x: Union[str, int] = AUTO,
 ) -> DecoyBounds:
     """Full 1-decoy bound set from both bases' observed statistics.
 
@@ -423,16 +429,10 @@ def bounds_1decoy(
             abort_reason="abort: empty block",
         )
 
-    s0l, s0u, s1l, kz = _basis_bounds_1decoy(stats_z, intens, ledger, k_min_z)
-    xs0l, xs0u, xs1l, kx = _basis_bounds_1decoy(stats_x, intens, ledger, k_min_x)
+    s0l, s0u, s1l, kz = _basis_bounds_1decoy(stats_z, intens, ledger)
+    xs0l, xs0u, xs1l, kx = _basis_bounds_1decoy(stats_x, intens, ledger)
     v1u = error_upper_1decoy(stats_x, intens, ledger)
-
-    abort_reason = None
-    try:
-        lam = phase_error_upper(v1u, xs1l)
-    except EstimateUnavailable as exc:
-        lam = None
-        abort_reason = str(exc)
+    lam, abort_reason = _lambda_bound(v1u, xs1l)
 
     bz = stats_z.basis
     bx = stats_x.basis
@@ -574,13 +574,7 @@ def bounds_2decoy(
     xs0l = vacuum_lower_2decoy(stats_x, intens, ledger)
     xs1l = single_lower_2decoy(stats_x, intens, ledger, xs0l)
     v1u = error_upper_2decoy(stats_x, intens, ledger)
-
-    abort_reason = None
-    try:
-        lam = phase_error_upper(v1u, xs1l)
-    except EstimateUnavailable as exc:
-        lam = None
-        abort_reason = str(exc)
+    lam, abort_reason = _lambda_bound(v1u, xs1l)
 
     bz, bx = stats_z.basis, stats_x.basis
 
@@ -612,3 +606,16 @@ def bounds_2decoy(
         budgets=budgets,
         abort_reason=abort_reason,
     )
+
+
+def decoy_bounds(
+    stats_z: BasisStats,
+    stats_x: BasisStats,
+    intens: Intensities,
+    ledger: EpsilonLedger,
+) -> DecoyBounds:
+    """The full bound set of the intensities' mode: ``bounds_1decoy`` for two
+    levels, ``bounds_2decoy`` for three."""
+    if intens.mode == "1decoy":
+        return bounds_1decoy(stats_z, stats_x, intens, ledger)
+    return bounds_2decoy(stats_z, stats_x, intens, ledger)

@@ -20,14 +20,11 @@ from typing import Dict, List, Optional
 from .errors import ConfigError, EstimateUnavailable, NoAdmissibleKey
 from .numerics import TOL, binary_entropy, serfling_gamma
 
-# Budget geometry of the simplified modes: every slack variable is set to
-# eps0 = eps_sec' / SIMPLIFIED_BUDGET_CONSTANT; the constant counts
-# 2*nu + 2*alpha2 + delta_pa + delta_ci contributions (10-term vs 12-term
-# concentration ledger).
-SIMPLIFIED_BUDGET_1DECOY = 15
-SIMPLIFIED_BUDGET_2DECOY = 17
-DELTA_CI_TERMS_1DECOY = 10
-DELTA_CI_TERMS_2DECOY = 12
+# Budget geometry of the simplified modes, per mode: (budget constant, number
+# of delta_ci terms). Every slack variable is set to eps0 = eps_sec' / constant;
+# the constant counts 2*nu + 2*alpha2 + delta_pa + delta_ci contributions, with
+# delta_ci the 10-term (1-decoy) or 12-term (2-decoy) concentration ledger.
+BUDGET_GEOMETRY = {"1decoy": (15, 10), "2decoy": (17, 12)}
 
 ALPHA3_NOTE = (
     "no-smoothing regime: the bound stays valid even when the implicit "
@@ -70,12 +67,9 @@ class EpsilonBudget:
     @classmethod
     def simplified(cls, eps_cor: float, eps_sec_prime: float, mode: str) -> "EpsilonBudget":
         """Collapse every slack variable onto eps0 = eps_sec' / (15 or 17)."""
-        if mode == "1decoy":
-            constant, terms = SIMPLIFIED_BUDGET_1DECOY, DELTA_CI_TERMS_1DECOY
-        elif mode == "2decoy":
-            constant, terms = SIMPLIFIED_BUDGET_2DECOY, DELTA_CI_TERMS_2DECOY
-        else:
+        if mode not in BUDGET_GEOMETRY:
             raise ConfigError(f"unknown mode {mode!r}")
+        constant, terms = BUDGET_GEOMETRY[mode]
         eps0 = eps_sec_prime / constant
         return cls(
             eps_cor=eps_cor,
@@ -254,7 +248,7 @@ def _simplified(
     budget = EpsilonBudget.simplified(eps_cor, eps_sec_prime, mode)
     if budget.pa_slack <= 0.0:
         raise NoAdmissibleKey("no admissible key: degenerate simplified budget")
-    constant = SIMPLIFIED_BUDGET_1DECOY if mode == "1decoy" else SIMPLIFIED_BUDGET_2DECOY
+    constant, _ = BUDGET_GEOMETRY[mode]
     correctness_term = math.log2(2.0 / eps_cor)
     secrecy_term = 4.0 * math.log2(constant / (eps_sec_prime * 2.0**0.25))
     return _assemble(
@@ -305,12 +299,8 @@ def key_length_for_mode(
     mode: str,
     gamma: Optional[float] = None,
 ) -> KeyLengthReport:
-    """Dispatch on the protocol mode string ('1decoy' / '2decoy')."""
-    if mode == "1decoy":
-        return key_length_simplified_1decoy(q, eps_cor, eps_sec_prime, leak_ec, gamma)
-    if mode == "2decoy":
-        return key_length_simplified_2decoy(q, eps_cor, eps_sec_prime, leak_ec, gamma)
-    raise ConfigError(f"unknown mode {mode!r}")
+    """Simplified key length of the protocol mode ('1decoy' / '2decoy')."""
+    return _simplified(q, eps_cor, eps_sec_prime, leak_ec, mode, gamma)
 
 
 def check_term_breakdown(report: KeyLengthReport) -> bool:

@@ -26,6 +26,7 @@ class Tolerances:
     intensity_prob_sum: float = 1e-12  # sum of intensity probabilities vs 1
     distribution_sum: float = 1e-9     # generic probability vector vs 1
     posterior_sum: float = 1e-12       # posterior normalization check
+    detection_sum: float = 1e-9        # detections vs block size, relative
     term_breakdown: float = 1e-9       # key-length term bookkeeping
 
 

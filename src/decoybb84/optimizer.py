@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .decoy import BasisStats, EpsilonLedger, Intensities, bounds_1decoy, bounds_2decoy
-from .errors import ConfigError, NoAdmissibleKey
+from .decoy import BasisStats, EpsilonLedger, Intensities, decoy_bounds
+from .errors import ConfigError, EstimateUnavailable, NoAdmissibleKey
 from .keylength import (
+    BUDGET_GEOMETRY,
     AcceptanceSet,
     EpsilonBudget,
     key_length_for_mode,
@@ -162,7 +163,8 @@ def _split_candidates(eps_cor: float, eps_sec_prime: float):
     assigned to the concentration ledger (w_ci) and, of the remainder, to
     privacy amplification (pa_frac). The simplified geometry (10/15, 1/5) is
     always among the candidates, so tuning can never lose to it."""
-    for w_ci in (0.45, 0.55, 10.0 / 15.0, 0.75, 0.85):
+    constant, terms = BUDGET_GEOMETRY["1decoy"]
+    for w_ci in (0.45, 0.55, terms / constant, 0.75, 0.85):
         for pa_frac in (0.08, 0.2, 0.4):
             delta_ci = w_ci * eps_sec_prime
             rest = eps_sec_prime - delta_ci
@@ -204,20 +206,13 @@ def derive_operating_point(
     qber_z = z_stats.total_errors / z_stats.block_size
     leak = (1.0 + settings.leak_margin) * leak_ec_estimate(n_z, qber_z, settings.f_ec)
 
-    n_ci_terms = 10 if intens.mode == "1decoy" else 12
-
     def candidate(budget: Optional[EpsilonBudget]) -> Optional[OperatingPoint]:
         if budget is None:
-            eps_each = EpsilonBudget.simplified(
-                settings.eps_cor, settings.eps_sec_prime, intens.mode
-            ).eps0
+            ledger = base.ledger()
         else:
-            eps_each = budget.delta_ci / n_ci_terms
-        ledger = EpsilonLedger.uniform(eps_each, len(intens.values))
-        if intens.mode == "1decoy":
-            bounds = bounds_1decoy(z_stats, x_stats, intens, ledger)
-        else:
-            bounds = bounds_2decoy(z_stats, x_stats, intens, ledger)
+            _, n_ci_terms = BUDGET_GEOMETRY[intens.mode]
+            ledger = EpsilonLedger.uniform(budget.delta_ci / n_ci_terms, len(intens.values))
+        bounds = decoy_bounds(z_stats, x_stats, intens, ledger)
         if bounds.lambda_upper is None:
             return None
         relax = 1.0 - settings.margin
@@ -235,7 +230,8 @@ def derive_operating_point(
                 )
             else:
                 report = key_length_general_1decoy(acceptance, budget, leak)
-        except NoAdmissibleKey:
+        except (NoAdmissibleKey, EstimateUnavailable):
+            # no key, or too few single-photon events for the sampling correction
             return None
         return OperatingPoint(
             params=replace(base, acceptance=acceptance, leak_ec=leak),

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from . import hashing
-from .decoy import BasisStats, DecoyBounds, EpsilonLedger, Intensities, bounds_1decoy, bounds_2decoy
+from .decoy import BasisStats, DecoyBounds, EpsilonLedger, Intensities, decoy_bounds
 from .errors import ConfigError
 from .keylength import (
     AcceptanceSet,
@@ -31,7 +31,8 @@ from .keylength import (
 class ProtocolParams:
     """Everything agreed before the run: intensities, basis probabilities,
     round count, security targets, the acceptance set, the pre-agreed
-    error-correction disclosure allowance and the reconciliation model."""
+    error-correction disclosure allowance and the reconciliation model.
+    Reconciliation is forward (Bob corrects towards Alice) by construction."""
 
     intensities: Intensities
     p_z_alice: float
@@ -43,7 +44,6 @@ class ProtocolParams:
     leak_ec: float
     f_ec: float = 1.16
     ec_success_prob: float = 1.0
-    ec_direction: str = "forward"
     gamma_override: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -59,10 +59,6 @@ class ProtocolParams:
             raise ConfigError("error-correction inefficiency must be >= 1")
         if not 0.0 <= self.ec_success_prob <= 1.0:
             raise ConfigError("ec_success_prob must lie in [0, 1]")
-        if self.ec_direction != "forward":
-            raise ConfigError(
-                f"only forward error correction is supported, got {self.ec_direction!r}"
-            )
 
     @property
     def mode(self) -> str:
@@ -202,13 +198,14 @@ def error_correct(
     Bob's key becomes a copy of Alice's when the pre-agreed disclosure
     allowance covers the leak estimate for the realized error rate (scaled by
     ``ec_success_prob`` to model imperfect correctors); otherwise it stays
-    uncorrected. Returns (corrected key, leak estimate in bits, succeeded).
+    uncorrected. A realized error rate above 1/2 is charged the maximal leak,
+    h = 1. Returns (corrected key, leak estimate in bits, succeeded).
     """
     if len(z_a) != len(z_b):
         raise ConfigError("keys must have equal length")
     n = len(z_a)
     qber = float(np.count_nonzero(z_a != z_b)) / n if n else 0.0
-    leak_estimate = leak_ec_estimate(n, qber, params.f_ec)
+    leak_estimate = leak_ec_estimate(n, min(qber, 0.5), params.f_ec)
     succeeds = params.leak_ec >= leak_estimate
     if succeeds and params.ec_success_prob < 1.0:
         succeeds = bool(rng.random() < params.ec_success_prob)
@@ -223,6 +220,22 @@ def count_block_errors(block: Block, reference: np.ndarray, n_levels: int) -> Tu
     mismatch = block.bob_bits != reference
     counts = np.bincount(block.intensity_idx[mismatch], minlength=n_levels)
     return tuple(int(c) for c in counts[:n_levels])
+
+
+def counted_stats(sifted: SiftResult, z_reference: np.ndarray) -> ObservedStats:
+    """The sifted statistics with error counts filled in: key-block errors
+    against ``z_reference`` (the verified key, or Alice's bits under ideal
+    reconciliation), flagged post-verification, and monitoring-block errors
+    against Alice's bits."""
+    observed = sifted.observed
+    n_levels = len(observed.z.detections)
+    z_errors = count_block_errors(sifted.z_block, z_reference, n_levels)
+    x_errors = count_block_errors(sifted.x_block, sifted.x_block.alice_bits, n_levels)
+    return replace(
+        observed,
+        z=replace(observed.z, errors=z_errors, errors_post_ec=True),
+        x=replace(observed.x, errors=x_errors),
+    )
 
 
 def acceptance_test(stats: ObservedStats, bounds: DecoyBounds, q: AcceptanceSet) -> bool:
@@ -336,23 +349,11 @@ def run_protocol(
         return record
 
     # Key-basis errors: sifted key vs verified key, only known post-verification.
-    n_levels = len(params.intensities.values)
-    z_errors = count_block_errors(sifted.z_block, corrected, n_levels)
-    x_errors = count_block_errors(sifted.x_block, sifted.x_block.alice_bits, n_levels)
+    stats = counted_stats(sifted, corrected)
     record.stages.append("error_counting")
-    stats = ObservedStats(
-        z=replace(sifted.observed.z, errors=z_errors, errors_post_ec=True),
-        x=replace(sifted.observed.x, errors=x_errors),
-        sifted_z=sifted.observed.sifted_z,
-        sifted_x=sifted.observed.sifted_x,
-    )
     record.stats = stats
 
-    ledger = params.ledger()
-    if params.mode == "1decoy":
-        bounds = bounds_1decoy(stats.z, stats.x, params.intensities, ledger)
-    else:
-        bounds = bounds_2decoy(stats.z, stats.x, params.intensities, ledger)
+    bounds = decoy_bounds(stats.z, stats.x, params.intensities, params.ledger())
     record.bounds = bounds
     record.stages.append("decoy_bounds")
 

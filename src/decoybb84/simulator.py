@@ -26,12 +26,12 @@ from .decoy import (
     DecoyBounds,
     EpsilonLedger,
     Intensities,
-    bounds_1decoy,
-    bounds_2decoy,
+    count_interval,
+    decoy_bounds,
 )
 from .errors import ConfigError
 from .numerics import MAX_PHOTON_NUMBER, intensity_posterior
-from .protocol import ObservedStats, ProtocolParams, RunRecord, sift
+from .protocol import ObservedStats, ProtocolParams, RunRecord, counted_stats, sift
 
 # Numeric guard when comparing real-valued bounds against integer truth;
 # exact ties are not violations.
@@ -308,21 +308,7 @@ def simulate_rounds(
         return rounds, None, None
     n_levels = len(params.intensities.values)
     truth = tally_truth(rounds, sifted.z_block.indices, sifted.x_block.indices, n_levels)
-
-    def errors_per_k(block) -> Tuple[int, ...]:
-        mismatch = block.alice_bits != block.bob_bits
-        counts = np.bincount(block.intensity_idx[mismatch], minlength=n_levels)
-        return tuple(int(c) for c in counts[:n_levels])
-
-    from dataclasses import replace
-
-    observed = ObservedStats(
-        z=replace(sifted.observed.z, errors=errors_per_k(sifted.z_block), errors_post_ec=True),
-        x=replace(sifted.observed.x, errors=errors_per_k(sifted.x_block)),
-        sifted_z=sifted.observed.sifted_z,
-        sifted_x=sifted.observed.sifted_x,
-    )
-    return rounds, truth, observed
+    return rounds, truth, counted_stats(sifted, sifted.z_block.alice_bits)
 
 
 def bound_violations(bounds: DecoyBounds, truth: OracleTruth) -> Dict[str, bool]:
@@ -359,8 +345,6 @@ def interval_violations(
     """Raw detection-count concentration checks: did the expected count
     sum_m p(k|m) s_m escape [n_k - delta, n_k + delta]? These are the
     individual inequalities every composite bound is built from."""
-    from .decoy import count_interval
-
     out: Dict[str, bool] = {}
     for basis, bstats in (("Z", stats.z), ("X", stats.x)):
         for k_idx in range(len(intens.values)):
@@ -440,10 +424,7 @@ def _coverage_chunk(
         if truth is None:
             counts["_aborted"] += 1
             continue
-        if intens.mode == "1decoy":
-            bounds = bounds_1decoy(observed.z, observed.x, intens, ledger)
-        else:
-            bounds = bounds_2decoy(observed.z, observed.x, intens, ledger)
+        bounds = decoy_bounds(observed.z, observed.x, intens, ledger)
         if bounds.lambda_upper is None:
             counts["_lambda_undefined"] += 1
         flags = bound_violations(bounds, truth)
@@ -508,10 +489,7 @@ def validate_bounds(
         )
         for basis in ("Z", "X")
     }
-    if params.mode == "1decoy":
-        probe = bounds_1decoy(probe_stats["Z"], probe_stats["X"], params.intensities, ledger)
-    else:
-        probe = bounds_2decoy(probe_stats["Z"], probe_stats["X"], params.intensities, ledger)
+    probe = decoy_bounds(probe_stats["Z"], probe_stats["X"], params.intensities, ledger)
     budgets = probe.budgets
     delta_ci = probe.delta_ci
 

@@ -9,6 +9,7 @@ import pytest
 
 from decoybb84 import cli
 from decoybb84.config import Config, parse_config, serialize_config
+from decoybb84.errors import ConfigError
 from decoybb84.simulator import ChannelModel
 
 from conftest import operating_point
@@ -85,6 +86,24 @@ class TestConfigFormat:
         cfg = Config.from_text("channel.loss_db = 10\nchannel.eta = 0.5\n")
         with pytest.raises(Exception):
             cfg.channel()
+
+
+class TestErrorCorrectionDirection:
+    # Reconciliation is forward by construction: the config key is accepted
+    # only with that value.
+    def test_reverse_rejected(self, tmp_path, capsys, simulate_config_text):
+        text = simulate_config_text + "protocol.ec_direction = reverse\n"
+        with pytest.raises(ConfigError, match="forward"):
+            Config.from_text(text).protocol_params()
+        path = tmp_path / "reverse.cfg"
+        path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path), "--trials", "1"]) == cli.EXIT_ERROR
+        assert "forward" in capsys.readouterr().err
+
+    def test_forward_accepted(self, simulate_config_text):
+        plain = Config.from_text(simulate_config_text).protocol_params()
+        text = simulate_config_text + "protocol.ec_direction = forward\n"
+        assert Config.from_text(text).protocol_params() == plain
 
 
 class TestKeylengthCommand:

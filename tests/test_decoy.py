@@ -13,6 +13,7 @@ from decoybb84.decoy import (
     bounds_1decoy,
     bounds_2decoy,
     count_interval,
+    decoy_bounds,
     delta_ci_1decoy,
     delta_ci_2decoy,
     error_upper_1decoy,
@@ -55,6 +56,20 @@ class TestIntensities:
     def test_probability_simplex(self):
         with pytest.raises(ConfigError):
             Intensities(values=(0.5, 0.1), probabilities=(0.6, 0.3))
+
+
+class TestBasisStats:
+    def test_detection_sum_off_by_one_count_rejected(self):
+        with pytest.raises(ConfigError, match="sum to the block size"):
+            BasisStats("Z", 10_000.0, (6000.0, 4001.0), (0.0, 0.0))
+
+    def test_huge_block_tolerates_rounding(self):
+        # Scaled expected counts at block ~1e12 are off by a few ulps, far
+        # above any absolute tolerance; the check is relative to the block.
+        detections = (1e12, 2e12 + 2.0**-8)
+        assert abs(math.fsum(detections) - 3e12) > 1e-3
+        stats = BasisStats("X", 3e12, detections, (0.0, 0.0))
+        assert stats.block_size == 3e12
 
 
 class TestCountInterval:
@@ -376,3 +391,51 @@ class TestBounds2Decoy:
         stats = make_stats("Z", (6000, 500, 30), (30, 3, 15))
         value = vacuum_lower_2decoy(stats, intens, ledger)
         assert 0.0 <= value <= stats.block_size
+
+
+class TestDecoyBounds:
+    """``decoy_bounds`` is the single entry point: it must return exactly the
+    bound set of the mode's own function."""
+
+    CASES = {
+        "1decoy": (
+            bounds_1decoy,
+            Intensities(values=(0.5, 0.1), probabilities=(0.7, 0.3)),
+            {
+                "regular": ((7000, 3000), (40, 20), (1400, 600), (9, 4)),
+                "empty_block": ((7000, 3000), (40, 20), (0, 0), (0, 0)),
+                "no_estimate": ((7000, 3000), (40, 20), (3, 2), (1, 1)),
+            },
+        ),
+        "2decoy": (
+            bounds_2decoy,
+            Intensities(values=(0.6, 0.2, 0.05), probabilities=(0.6, 0.25, 0.15)),
+            {
+                "regular": (
+                    (600_000, 250_000, 150_000), (3000, 1200, 800),
+                    (120_000, 50_000, 30_000), (700, 300, 200),
+                ),
+                "empty_block": ((6000, 2500, 1500), (30, 12, 8), (0, 0, 0), (0, 0, 0)),
+                "no_estimate": ((6000, 2500, 1500), (30, 12, 8), (3, 2, 1), (1, 1, 0)),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ["regular", "empty_block", "no_estimate"])
+    @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+    def test_equals_mode_function(self, mode, case):
+        own, intens, cases = self.CASES[mode]
+        det_z, err_z, det_x, err_x = cases[case]
+        stats_z = make_stats("Z", det_z, err_z)
+        stats_x = make_stats("X", det_x, err_x)
+        ledger = nonuniform_ledger(philox(3), len(intens.values))
+        got = decoy_bounds(stats_z, stats_x, intens, ledger)
+        want = own(stats_z, stats_x, intens, ledger)
+        assert got.mode == mode
+        assert got == want  # dataclass equality: field for field
+        if case == "regular":
+            assert got.lambda_upper is not None and got.abort_reason is None
+        else:
+            assert got.lambda_upper is None
+            expected = "empty block" if case == "empty_block" else "no single-photon estimate"
+            assert expected in got.abort_reason

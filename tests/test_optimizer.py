@@ -95,6 +95,47 @@ class TestDeriveOperatingPoint:
         intens = Intensities(values=(0.8, 0.25), probabilities=(0.5, 0.5))
         assert derive_operating_point(intens, 0.6, ChannelModel(transmittance=0.0), settings()) is None
 
+    def test_too_few_single_photons_is_infeasible(self):
+        # At this 2-decoy point the expected x_s1_lower is below one event, so
+        # the sampling correction is undefined; the point scores as no key
+        # instead of failing the whole search.
+        intens = Intensities(
+            values=(0.8285714285714285, 0.18571428571428572, 0.01),
+            probabilities=(0.5778914285714285, 0.1, 1.0 - 0.5778914285714285 - 0.1),
+        )
+        channel = ChannelModel(transmittance=10**-2 * 0.5, dark_count_prob=1e-6, misalignment=0.01)
+        wide = OptimizerSettings(
+            num_signals=10**9, eps_cor=1e-12, eps_sec_prime=1e-9, mode="2decoy",
+            margin=0.2, block_margin=0.12, leak_margin=0.35,
+        )
+        assert derive_operating_point(intens, 0.85, channel, wide) is None
+        space = SearchSpace(ranges={}, fixed={
+            "mu1": intens.values[0], "mu2": intens.values[1], "mu3": intens.values[2],
+            "p_mu1": intens.probabilities[0], "p_mu2": 0.1, "p_z": 0.85,
+        })
+        assert optimize(space, channel, wide, "grid").best_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "num_signals, values, probabilities",
+        [
+            (10**12, (0.8, 0.1), (0.7, 0.3)),
+            (10**14, (0.8, 0.25), (0.5, 0.5)),
+            (10**12, (0.8, 0.25, 0.02), (0.7, 0.2, 0.1)),
+            (10**14, (0.8, 0.25, 0.02), (0.7, 0.2, 0.1)),
+        ],
+    )
+    def test_asymptotic_block_sizes(self, num_signals, values, probabilities):
+        # Scaled expected detections at these block sizes miss the block size
+        # by rounding errors far above 1e-6 counts; the point must still derive.
+        intens = Intensities(values=values, probabilities=probabilities)
+        huge = OptimizerSettings(
+            num_signals=num_signals, eps_cor=1e-12, eps_sec_prime=1e-9, mode=intens.mode,
+            margin=0.2, block_margin=0.12, leak_margin=0.35,
+        )
+        channel = ChannelModel(transmittance=0.05, dark_count_prob=1e-6, misalignment=0.01)
+        point = derive_operating_point(intens, 0.8, channel, huge)
+        assert point is not None and point.key_length > 0
+
 
 class TestSearchSpace:
     def test_unknown_parameter_rejected(self):

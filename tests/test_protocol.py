@@ -62,10 +62,6 @@ class TestParamsValidation:
         with pytest.raises(ConfigError):
             make_params(p_z_bob=1.0)
 
-    def test_reverse_error_correction_rejected(self):
-        with pytest.raises(ConfigError):
-            make_params(ec_direction="reverse")
-
 
 class TestSift:
     def test_no_detections_aborts(self, rng):
@@ -226,6 +222,21 @@ class TestRunProtocol:
         assert record.abort_stage == "error_verification"
         assert not record.omega_ev
         assert record.key_alice is None and record.key_bob is None
+
+    def test_error_rate_above_half_aborts_at_verification(self):
+        # A legal channel can push the realized QBER above 1/2; reconciliation
+        # is then charged the maximal leak (h = 1) and the run aborts instead
+        # of raising from inside the protocol.
+        point = operating_point(NOISY)
+        params = point.params
+        flipped = ChannelModel(transmittance=0.9, dark_count_prob=1e-6, misalignment=0.7)
+        rng = philox(6)
+        rounds = generate_rounds(params, flipped, params.num_signals, rng)
+        record = run_protocol(rounds, params, rng)
+        assert record.outcome == "abort"
+        assert record.omega_ec is False
+        assert record.abort_stage == "error_verification"
+        assert record.leak_estimate == pytest.approx(params.acceptance.n_z * params.f_ec)
 
     def test_stage_ordering_error_counts_after_verification(self):
         point = operating_point(NOISY)

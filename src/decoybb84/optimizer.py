@@ -203,7 +203,8 @@ def derive_operating_point(
         return None
     z_stats = _scaled(stats.z, float(n_z))
     x_stats = _scaled(stats.x, float(n_x))
-    qber_z = z_stats.total_errors / z_stats.block_size
+    # An expected error rate above 1/2 is charged the maximal leak, h = 1.
+    qber_z = min(z_stats.total_errors / z_stats.block_size, 0.5)
     leak = (1.0 + settings.leak_margin) * leak_ec_estimate(n_z, qber_z, settings.f_ec)
 
     def candidate(budget: Optional[EpsilonBudget]) -> Optional[OperatingPoint]:

@@ -2,10 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. Statistical criteria use
 fixed seeds, so every run is deterministic. The heavy bound-coverage
-criteria dominate the runtime (a few minutes each on one core).
+criteria dominate the runtime (a few seconds each on one core).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,6 +144,44 @@ def test_criterion_4_bound_coverage(mode):
         f"4 (bound coverage, {mode})",
         ok,
         f"tol = {tol:.4f}; defined QBER bounds: {rep.trials - rep.lambda_undefined}"
+        + ("; " + ", ".join(failures) if failures else ""),
+    )
+
+
+@pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+def test_criterion_4b_lambda_coverage(mode):
+    """Criterion 4 in a regime where the phase-error bound is defined: N = 1e7
+    and both blocks 100 times larger. lambda_upper defined in >= 90% of the
+    completed trials, plus criterion 4's rate tolerances."""
+    trials = 10_000
+    base = coverage_params(mode)
+    q = base.acceptance
+    params = replace(
+        base,
+        num_signals=10_000_000,
+        acceptance=replace(q, n_z=100 * q.n_z, n_x=100 * q.n_x),
+    )
+    ledger = EpsilonLedger.uniform(1e-2, len(params.intensities.values))
+    rep = validate_bounds(params, COVERAGE_CHANNEL, trials, ledger, philox(414))
+    tol = 1e-2 + 3 * math.sqrt(1e-2 / trials)
+    defined = rep.trials - rep.lambda_undefined
+    ok = rep.trials + rep.aborted_trials == trials and rep.aborted_trials <= 0.01 * trials
+    ok &= defined >= 0.9 * rep.trials
+    failures = [
+        f"{name}={entry.rate:.4f}"
+        for name, entry in {**rep.entries, **rep.interval_entries}.items()
+        if entry.rate > tol
+    ]
+    joint_tol = rep.joint.budget + 3 * math.sqrt(rep.joint.budget / trials)
+    if rep.joint.rate > joint_tol:
+        failures.append(f"joint={rep.joint.rate:.4f}>{joint_tol:.4f}")
+    ok &= not failures
+    print()
+    print(rep.to_table())
+    report(
+        f"4b (lambda coverage, {mode})",
+        ok,
+        f"tol = {tol:.4f}; lambda_upper defined in {defined} of {rep.trials} trials"
         + ("; " + ", ".join(failures) if failures else ""),
     )
 

@@ -115,6 +115,13 @@ class TestDeriveOperatingPoint:
         })
         assert optimize(space, channel, wide, "grid").best_rate == 0.0
 
+    def test_error_rate_above_half_is_infeasible(self):
+        # Expected QBER 0.7: the leak is charged at h = 1 and the point scores
+        # as no key instead of raising from the leak estimate.
+        intens = Intensities(values=(0.8, 0.25), probabilities=(0.5, 0.5))
+        channel = ChannelModel(transmittance=0.9, misalignment=0.7)
+        assert derive_operating_point(intens, 0.6, channel, settings(n=10**6)) is None
+
     @pytest.mark.parametrize(
         "num_signals, values, probabilities",
         [

@@ -10,19 +10,23 @@ import pytest
 from decoybb84.decoy import EpsilonLedger, Intensities
 from decoybb84.errors import ConfigError
 from decoybb84.keylength import AcceptanceSet
+from decoybb84.numerics import MAX_PHOTON_NUMBER, poisson_pmf
 from decoybb84.protocol import ProtocolParams, sift
 from decoybb84.simulator import (
     ChannelModel,
+    CoverageReport,
     bayes_equivalence_test,
     bound_violations,
+    cell_probabilities,
     detection_rates_by_basis,
     generate_rounds,
+    sample_block_tallies,
     simulate_rounds,
     tally_truth,
     validate_bounds,
 )
 
-from conftest import philox
+from conftest import operating_point, philox
 
 
 def sim_params(mu=(0.5, 0.1), p_mu=(0.7, 0.3), p_z=0.5, p_z_alice=None,
@@ -273,6 +277,32 @@ class TestValidateBounds:
         for entry in report.entries.values():
             assert entry.rate <= entry.tolerance(entry.budget if entry.budget else 0.5)
 
+    def test_unknown_policy_rejected_before_any_trial(self):
+        params = sim_params()
+        with pytest.raises(ConfigError):
+            validate_bounds(params, ChannelModel(transmittance=0.5), 1,
+                            EpsilonLedger.uniform(1e-2, 2), philox(17), double_click_policy="drop")
+
+    def test_dead_channel_aborts_every_trial(self):
+        params = sim_params()
+        chan = ChannelModel(transmittance=0.0, dark_count_prob=0.0)
+        cells = cell_probabilities(params, chan)
+        assert not cells.any()
+        assert sample_block_tallies(params, cells, philox(18)) is None
+        report = validate_bounds(params, chan, 20, EpsilonLedger.uniform(1e-2, 2), philox(18))
+        assert report.trials == 0 and report.aborted_trials == 20
+        assert "lambda_upper defined in 0 of 0 trials" in report.to_table()
+
+    @pytest.mark.parametrize("num_signals", [10**9, 10**12, 10**14])
+    def test_huge_round_counts(self, num_signals):
+        # A count-level trial costs the same at any N; generating the rounds
+        # of one such trial would not fit in memory.
+        chan = ChannelModel(transmittance=0.05, dark_count_prob=1e-6, misalignment=0.01)
+        params = operating_point(chan, num_signals=num_signals).params
+        report = validate_bounds(params, chan, 20, params.ledger(), philox(19))
+        assert report.trials == 20 and report.lambda_undefined == 0
+        assert report.joint.violations == 0
+
     def test_workers_do_not_change_results(self):
         params = sim_params(n=10_000, n_z=300, n_x=200)
         chan = ChannelModel(transmittance=0.8, dark_count_prob=1e-4, misalignment=0.01)
@@ -284,6 +314,116 @@ class TestValidateBounds:
             assert parallel.entries[name].violations == entry.violations
         for name, entry in sequential.interval_entries.items():
             assert parallel.interval_entries[name].violations == entry.violations
+
+
+class TestCoverageReportTable:
+    @pytest.mark.parametrize("undefined, warned", [(1, False), (2, True)])
+    def test_lambda_defined_count_and_warning(self, undefined, warned):
+        report = CoverageReport(mode="1decoy", trials=10, aborted_trials=0,
+                                lambda_undefined=undefined)
+        table = report.to_table()
+        assert f"lambda_upper defined in {10 - undefined} of 10 trials" in table
+        assert ("WARNING" in table) == warned
+
+
+def _tally_vector(truth, observed):
+    """One trial's statistics: sifted sizes, per-intensity detections and
+    errors in both blocks, and s/v at m = 0, 1, 2 in both blocks."""
+    return np.concatenate([
+        [observed.sifted_z, observed.sifted_x],
+        observed.z.detections, observed.z.errors, observed.x.detections, observed.x.errors,
+        truth.s_z[:3], truth.v_z[:3], truth.s_x[:3], truth.v_x[:3],
+    ]).astype(float)
+
+
+class TestCountSampler:
+    """The count-level sampler against the per-round reference."""
+
+    CHANNEL = ChannelModel(transmittance=0.5, dark_count_prob=5e-3, misalignment=0.03)
+
+    @staticmethod
+    def params(mode):
+        if mode == "1decoy":
+            return sim_params(mu=(0.6, 0.2), p_mu=(0.6, 0.4), n=20_000, n_z=400, n_x=300)
+        return sim_params(mu=(0.6, 0.2, 0.05), p_mu=(0.5, 0.3, 0.2), n=20_000, n_z=400, n_x=300)
+
+    @pytest.mark.parametrize("policy", ["random", "discard"])
+    @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+    def test_same_law_as_simulate_rounds(self, mode, policy):
+        params = self.params(mode)
+        n = params.num_signals
+        rng = philox(700)
+        reference = []
+        for _ in range(300):
+            _, truth, observed = simulate_rounds(params, self.CHANNEL, n, rng, policy)
+            reference.append(_tally_vector(truth, observed))
+        cells = cell_probabilities(params, self.CHANNEL, policy)
+        counted = [_tally_vector(*sample_block_tallies(params, cells, rng)) for _ in range(3000)]
+        a, b = np.array(reference), np.array(counted)
+        mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
+        sd_a, sd_b = a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)
+        for i in range(a.shape[1]):
+            if sd_a[i] == 0.0 and sd_b[i] == 0.0:
+                assert mean_a[i] == mean_b[i]
+                continue
+            z = (mean_a[i] - mean_b[i]) / math.sqrt(sd_a[i] ** 2 / len(a) + sd_b[i] ** 2 / len(b))
+            assert abs(z) < 4.5, f"statistic {i}: z = {z:.2f}"
+            assert 0.7 < sd_a[i] / sd_b[i] < 1.4, f"statistic {i}: sd ratio {sd_a[i] / sd_b[i]:.3f}"
+
+    @pytest.mark.parametrize(
+        "mu, p_mu, policy",
+        [((0.8, 0.25), (0.5, 0.5), "random"), ((30.0, 0.5, 0.05), (0.4, 0.4, 0.2), "discard")],
+    )
+    def test_cell_probabilities_chi_square(self, mu, p_mu, policy):
+        # One per-round run's sifted-cell histogram against the closed form;
+        # mu = 30 puts half the Poisson mass in the top photon-number bin.
+        params = sim_params(mu=mu, p_mu=p_mu, p_z=0.6)
+        n = 1_000_000
+        cells = cell_probabilities(params, self.CHANNEL, policy)
+        rounds = generate_rounds(params, self.CHANNEL, n, philox(701), policy)
+        sifted = (rounds.alice_basis == rounds.bob_basis) & rounds.detected
+        index = np.ravel_multi_index(
+            (
+                (~rounds.alice_basis[sifted]).astype(int),
+                rounds.intensity_idx[sifted],
+                np.minimum(rounds.photon_number[sifted], MAX_PHOTON_NUMBER),
+                (rounds.alice_bits[sifted] != rounds.bob_bits[sifted]).astype(int),
+            ),
+            cells.shape,
+        )
+        observed = np.append(np.bincount(index, minlength=cells.size), n - sifted.sum())
+        expected = n * np.append(cells.ravel(), 1.0 - cells.sum())
+        # Pool the cells expected to hold fewer than 5 rounds into one.
+        small = expected < 5.0
+        assert small.any()
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        df = len(expected) - 1
+        # Wilson-Hilferty 4-sigma critical value of the chi-square law.
+        critical = df * (1.0 - 2.0 / (9 * df) + 4.0 * math.sqrt(2.0 / (9 * df))) ** 3
+        assert chi2 < critical, f"chi2 = {chi2:.1f} on {df} df (critical {critical:.1f})"
+
+    def test_cells_match_channel_algebra(self):
+        # Every bin, the top one included, against ChannelModel's per-photon-
+        # number closed forms summed term by term (mu = 40 has most of its
+        # Poisson mass above the top bin's threshold).
+        params = sim_params(mu=(40.0, 0.5), p_mu=(0.3, 0.7), p_z=0.6)
+        cells = cell_probabilities(params, self.CHANNEL)
+        top = MAX_PHOTON_NUMBER
+        for basis, p_basis in ((0, 0.36), (1, 0.16)):
+            for k_idx, (p_k, mu) in enumerate(zip(params.intensities.probabilities,
+                                                    params.intensities.values)):
+                def term(m, fn):
+                    return p_basis * p_k * poisson_pmf(mu, m) * fn(m)
+
+                det = [term(m, self.CHANNEL.detection_prob_given_m) for m in range(400)]
+                err = [term(m, self.CHANNEL.error_and_detection_prob_given_m) for m in range(400)]
+                want_err = err[:top] + [math.fsum(err[top:])]
+                want_det = det[:top] + [math.fsum(det[top:])]
+                got = cells[basis, k_idx]
+                assert got[:, 1] == pytest.approx(want_err, rel=1e-12, abs=1e-300)
+                assert got.sum(axis=1) == pytest.approx(want_det, rel=1e-12, abs=1e-300)
 
 
 class TestDeterminism:

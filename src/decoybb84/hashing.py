@@ -3,9 +3,17 @@ amplification.
 
 A seed of ``in_len + out_len - 1`` uniformly random bits defines a Toeplitz
 matrix T with T[i, j] = seed[in_len - 1 + i - j]; hashing is the matrix-vector
-product over GF(2), evaluated as a binary convolution. For any two distinct
-inputs, a uniformly drawn seed maps them to the same output with probability
-exactly 2**(-out_len), which is the universal_2 collision guarantee.
+product over GF(2). For any two distinct inputs, a uniformly drawn seed maps
+them to the same output with probability exactly 2**(-out_len), which is the
+universal_2 collision guarantee.
+
+Only the out_len wanted outputs are evaluated. Up to 64 outputs (every
+verification tag) each is one direct parity of the seed window against the
+reversed input. More outputs (privacy amplification) come from one circular
+FFT convolution of power-of-two length n >= in_len + out_len - 1: the linear
+convolution ends at index 2*in_len + out_len - 3, so the terms aliased onto
+the window [in_len - 1, in_len - 1 + out_len) would come from indices
+>= in_len - 1 + n, past that end, and the window is wrap-free.
 
 Bit order convention: index 0 is the first transmitted bit.
 """
@@ -13,7 +21,7 @@ Bit order convention: index 0 is the first transmitted bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,22 +61,9 @@ def sample_hash(in_len: int, out_len: int, rng: np.random.Generator) -> Toeplitz
     return ToeplitzSeed(bits=random_bits(n_bits, rng), in_len=in_len, out_len=out_len)
 
 
-# Above this operation count the binary convolution switches to an FFT;
-# counts stay far below the float64 exact-integer range so rounding is exact.
-_FFT_THRESHOLD_OPS = 1 << 22
-
-
-def _convolve_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) * len(b) <= _FFT_THRESHOLD_OPS:
-        return np.convolve(a.astype(np.int64), b.astype(np.int64))
-    n = len(a) + len(b) - 1
-    nfft = 1 << (n - 1).bit_length()
-    spectrum = np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft)
-    conv = np.fft.irfft(spectrum, nfft)[:n]
-    counts = np.rint(conv).astype(np.int64)
-    if np.max(np.abs(conv - counts)) > 0.25:
-        raise FloatingPointError("FFT convolution lost integer precision")
-    return counts
+# Up to this many outputs each output bit is one direct parity; above it
+# a single FFT is cheaper.
+_DIRECT_MAX_OUTPUTS = 64
 
 
 def hash_bits(seed: ToeplitzSeed, x: np.ndarray) -> np.ndarray:
@@ -77,18 +72,27 @@ def hash_bits(seed: ToeplitzSeed, x: np.ndarray) -> np.ndarray:
     Linear over GF(2): hash(s, x ^ y) = hash(s, x) ^ hash(s, y).
     """
     x = np.asarray(x, dtype=np.uint8)
-    if len(x) != seed.in_len:
-        raise ValueError(f"input has {len(x)} bits, hash expects {seed.in_len}")
-    if seed.out_len == 0:
-        return np.zeros(0, dtype=np.uint8)
-    full = _convolve_counts(seed.bits, x)
-    window = full[seed.in_len - 1 : seed.in_len - 1 + seed.out_len]
-    return (window & 1).astype(np.uint8)
+    in_len, out_len = seed.in_len, seed.out_len
+    if len(x) != in_len:
+        raise ValueError(f"input has {len(x)} bits, hash expects {in_len}")
+    if out_len <= _DIRECT_MAX_OUTPUTS:
+        reversed_x = np.ascontiguousarray(x[::-1])
+        return np.array(
+            [np.count_nonzero(seed.bits[i : i + in_len] & reversed_x) & 1 for i in range(out_len)],
+            dtype=np.uint8,
+        )
+    n = 1 << (in_len + out_len - 2).bit_length()
+    spectrum = np.fft.rfft(seed.bits, n) * np.fft.rfft(x, n)
+    window = np.fft.irfft(spectrum, n)[in_len - 1 : in_len - 1 + out_len]
+    counts = np.rint(window).astype(np.int64)
+    if np.max(np.abs(window - counts)) > 0.25:
+        raise FloatingPointError("FFT convolution lost integer precision")
+    return (counts & 1).astype(np.uint8)
 
 
 def toeplitz_matrix(seed: ToeplitzSeed) -> np.ndarray:
     """Explicit matrix with T[i, j] = seed[in_len - 1 + i - j]; reference
-    construction for the convolution implementation."""
+    construction for hash_bits."""
     i = np.arange(seed.out_len)[:, None]
     j = np.arange(seed.in_len)[None, :]
     return seed.bits[seed.in_len - 1 + i - j]
@@ -188,20 +192,10 @@ def bits_from_hex(text: str, n_bits: int) -> np.ndarray:
     return np.array(bits[:n_bits], dtype=np.uint8)
 
 
-def dump_test_vectors(vectors: Iterable[Tuple[np.ndarray, ToeplitzSeed, np.ndarray]]) -> str:
-    """Serialize (input, seed, output) triples: one line each of
-    'in_len out_len hex(input) hex(seed) hex(output)'."""
-    lines = []
-    for x, seed, out in vectors:
-        lines.append(
-            f"{seed.in_len} {seed.out_len} {bits_to_hex(x)} "
-            f"{bits_to_hex(seed.bits)} {bits_to_hex(out)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def load_test_vectors(text: str) -> List[Tuple[np.ndarray, ToeplitzSeed, np.ndarray]]:
-    """Parse the test-vector format produced by dump_test_vectors."""
+    """Parse Toeplitz test vectors: one line each of
+    'in_len out_len hex(input) hex(seed) hex(output)' in the bits_to_hex
+    encoding; blank lines and lines starting with '#' are skipped."""
     vectors = []
     for line in text.splitlines():
         line = line.strip()

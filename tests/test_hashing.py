@@ -1,11 +1,13 @@
 """Toeplitz hashing tests: pinned vectors (independent matrix oracle),
-GF(2) linearity, collision statistics and the verification/amplification
-wrappers."""
+GF(2) linearity, both evaluation paths against a direct convolution,
+collision statistics and the verification/amplification wrappers."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoybb84 import hashing
 from decoybb84.hashing import (
@@ -98,6 +100,77 @@ class TestLinearity:
         direct = np.convolve(seed.bits.astype(np.int64), x.astype(np.int64))
         direct = (direct[in_len - 1 : in_len - 1 + out_len] & 1).astype(np.uint8)
         assert np.array_equal(hash_bits(seed, x), direct)
+
+
+def convolution_window(seed: ToeplitzSeed, x: np.ndarray) -> np.ndarray:
+    """Reference: the binary convolution of seed and input, reduced mod 2 on
+    the window [in_len - 1, in_len - 1 + out_len). numpy's "valid" mode
+    returns exactly that window of the full convolution."""
+    if seed.out_len == 0:
+        return np.zeros(0, dtype=np.uint8)
+    counts = np.convolve(seed.bits.astype(np.int64), x.astype(np.int64), "valid")
+    return (counts & 1).astype(np.uint8)
+
+
+def assert_matches_reference(in_len: int, out_len: int, rng: np.random.Generator) -> None:
+    seed = sample_hash(in_len, out_len, rng)
+    x = random_bits(in_len, rng)
+    assert np.array_equal(hash_bits(seed, x), convolution_window(seed, x)), (in_len, out_len)
+
+
+class TestOutputSizedPaths:
+    @pytest.mark.parametrize("out_len", [1, 41, 64, 65])
+    def test_few_outputs_of_a_long_key(self, out_len):
+        # 64 outputs is the last direct-parity size, 65 the first FFT size
+        assert_matches_reference(100_003, out_len, philox(out_len))
+
+    @pytest.mark.parametrize(
+        "in_len,out_len",
+        [
+            (12_000, (1 << 14) + 1 - 12_000),  # in_len + out_len - 1 == 2**14
+            (12_000, (1 << 14) - 12_000),  # one below
+            (12_000, (1 << 14) + 2 - 12_000),  # one above
+            (3_000, 3_000),  # square matrix
+        ],
+    )
+    def test_fft_power_of_two_boundaries(self, in_len, out_len):
+        assert_matches_reference(in_len, out_len, philox(in_len + out_len))
+
+    def test_random_sizes(self):
+        rng = philox(2024)
+        for _ in range(150):
+            in_len = int(rng.integers(1, 5000))
+            assert_matches_reference(in_len, int(rng.integers(0, in_len + 1)), rng)
+
+
+@st.composite
+def hash_inputs(draw):
+    """A seed and two inputs; sizes straddle the direct/FFT switch at 64."""
+    in_len = draw(st.integers(1, 160))
+    out_len = draw(st.integers(0, in_len))
+
+    def bits(n):
+        packed = draw(st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8))
+        return np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:n]
+
+    seed_len = in_len + out_len - 1 if out_len > 0 else 0
+    seed = ToeplitzSeed(bits=bits(seed_len), in_len=in_len, out_len=out_len)
+    return seed, bits(in_len), bits(in_len)
+
+
+class TestHashProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(hash_inputs())
+    def test_linear_over_gf2(self, inputs):
+        seed, x, y = inputs
+        assert np.array_equal(hash_bits(seed, x ^ y), hash_bits(seed, x) ^ hash_bits(seed, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hash_inputs())
+    def test_equals_matrix_product(self, inputs):
+        seed, x, _ = inputs
+        expected = ((toeplitz_matrix(seed).astype(np.int64) @ x) % 2).astype(np.uint8)
+        assert np.array_equal(hash_bits(seed, x), expected)
 
 
 class TestCollisions:

@@ -5,8 +5,12 @@ bounds on the unobservable photon-number-resolved quantities: lower/upper
 bounds on vacuum events, a lower bound on single-photon events, an upper
 bound on single-photon errors and an upper bound on the single-photon QBER.
 Two intensity levels give the 1-decoy variant, three give the 2-decoy
-variant; the two differ only in the bound formulas and the epsilon ledger.
-``decoy_bounds`` is the entry point: it picks the bound set of the mode.
+variant. Both take the vacuum lower bound and the single-photon error upper
+bound from one formula each, on their two weakest intensities. Each has its
+own single-photon lower bound: 1-decoy consumes a vacuum upper bound (a
+formula of its own), 2-decoy the vacuum lower bound. Every bound's budget is
+the sum of the ledger entries it rests on. ``decoy_bounds`` is the entry
+point: it picks the bound set of the mode.
 
 Bounds are computed in real arithmetic and never rounded. Lower count
 intervals are clipped at zero before entering composite expressions and every
@@ -17,15 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import ConfigError, EstimateUnavailable
 from .numerics import TOL, hoeffding_delta, tau_m
 
 BASES = ("Z", "X")
-
-# Sentinel for letting the engine pick the vacuum-upper-bound intensity.
-AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -220,35 +221,45 @@ def _require_post_ec(stats: BasisStats, what: str) -> None:
         )
 
 
-def vacuum_lower_1decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
-    r"""Lower bound on the number of vacuum events in the block,
+def _weakest_pair(intens: Intensities) -> Tuple[int, int]:
+    # Indices (a, b) of the two weakest intensities, mu_a > mu_b.
+    n = len(intens.values)
+    return n - 2, n - 1
+
+
+def vacuum_lower(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
+    r"""Lower bound on the number of vacuum events in the block, taken on the
+    two weakest intensities mu_a > mu_b,
 
     .. math::
 
-        s_0^- = \frac{\tau_0}{\mu_1 - \mu_2}
-            \left( \frac{\mu_1 e^{\mu_2} n_{\mu_2}^-}{p_{\mu_2}}
-                 - \frac{\mu_2 e^{\mu_1} n_{\mu_1}^+}{p_{\mu_1}} \right),
+        s_0^- = \frac{\tau_0}{\mu_a - \mu_b}
+            \left( \frac{\mu_a e^{\mu_b} n_{\mu_b}^-}{p_{\mu_b}}
+                 - \frac{\mu_b e^{\mu_a} n_{\mu_a}^+}{p_{\mu_a}} \right),
 
-    clipped to [0, block size]. Failure budget: eps_n_minus(mu2) + eps_n_plus(mu1).
+    clipped to [0, block size]. (mu_a, mu_b) is (mu_1, mu_2) in 1-decoy mode
+    and (mu_2, mu_3) in 2-decoy mode. Failure budget: eps_n_minus(mu_b) +
+    eps_n_plus(mu_a).
     """
-    if intens.mode != "1decoy":
-        raise ConfigError("vacuum_lower_1decoy needs exactly two intensities")
-    mu1, mu2 = intens.values
-    p1, p2 = intens.probabilities
-    _, n1_plus = _n_bounds(stats, ledger, 0)
-    n2_minus, _ = _n_bounds(stats, ledger, 1)
+    a, b = _weakest_pair(intens)
+    mu_a, mu_b = intens.values[a], intens.values[b]
+    p_a, p_b = intens.probabilities[a], intens.probabilities[b]
+    _, na_plus = _n_bounds(stats, ledger, a)
+    nb_minus, _ = _n_bounds(stats, ledger, b)
     tau0 = intens.tau(0)
-    raw = tau0 / (mu1 - mu2) * (
-        mu1 * math.exp(mu2) * n2_minus / p2 - mu2 * math.exp(mu1) * n1_plus / p1
+    raw = tau0 / (mu_a - mu_b) * (
+        mu_a * math.exp(mu_b) * nb_minus / p_b - mu_b * math.exp(mu_a) * na_plus / p_a
     )
     return _clip(raw, 0.0, stats.block_size)
 
 
+def _vacuum_lower_terms(ledger: EpsilonLedger, basis: str, intens: Intensities) -> Tuple[float, ...]:
+    a, b = _weakest_pair(intens)
+    return ledger.n_minus[basis][b], ledger.n_plus[basis][a]
+
+
 def vacuum_upper_1decoy(
-    stats: BasisStats,
-    intens: Intensities,
-    ledger: EpsilonLedger,
-    k_choice: Union[str, int] = AUTO,
+    stats: BasisStats, intens: Intensities, ledger: EpsilonLedger
 ) -> Tuple[float, int]:
     r"""Upper bound on the number of vacuum events,
 
@@ -257,9 +268,9 @@ def vacuum_upper_1decoy(
         s_0^+ = 2\left( \frac{c_k^+ \tau_0 e^{k}}{p_k}
                         + \delta(N_b, \epsilon^{v,+}) \right),
 
-    clipped to [0, block size], where k is either intensity. ``k_choice`` is
-    an intensity index or ``"auto"`` to keep the smaller bound. Returns the
-    bound and the index actually used. Budget: eps_v_plus + eps_c_plus(k).
+    clipped to [0, block size], where k is the intensity that gives the
+    smaller bound. Returns the bound and the index of k. Budget: eps_v_plus +
+    eps_c_plus(k).
     """
     if intens.mode != "1decoy":
         raise ConfigError("vacuum_upper_1decoy needs exactly two intensities")
@@ -273,13 +284,7 @@ def vacuum_upper_1decoy(
         raw = 2.0 * (_c_plus(stats, ledger, idx) * tau0 * math.exp(mu) / p + delta_v)
         return _clip(raw, 0.0, stats.block_size)
 
-    if k_choice == AUTO:
-        candidates = [(bound_for(i), i) for i in range(2)]
-        return min(candidates)
-    idx = int(k_choice)
-    if idx not in (0, 1):
-        raise ConfigError(f"k_choice must be an intensity index or 'auto', got {k_choice!r}")
-    return bound_for(idx), idx
+    return min((bound_for(i), i) for i in range(2))
 
 
 def single_lower_1decoy(
@@ -312,181 +317,6 @@ def single_lower_1decoy(
         math.exp(mu2) * n2_minus / p2
         - (mu2**2 / mu1**2) * math.exp(mu1) * n1_plus / p1
         - ((mu1**2 - mu2**2) / mu1**2) * s0_upper / tau0
-    )
-    return _clip(raw, 0.0, stats.block_size)
-
-
-def error_upper_1decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
-    r"""Upper bound on the number of single-photon errors,
-
-    .. math::
-
-        v_1^+ = \frac{\tau_1}{\mu_1 - \mu_2}
-            \left( \frac{e^{\mu_1} c_{\mu_1}^+}{p_{\mu_1}}
-                 - \frac{e^{\mu_2} c_{\mu_2}^-}{p_{\mu_2}} \right),
-
-    clipped to [0, block size]. Budget: eps_c_plus(mu1) + eps_c_minus(mu2).
-    """
-    if intens.mode != "1decoy":
-        raise ConfigError("error_upper_1decoy needs exactly two intensities")
-    _require_post_ec(stats, "single-photon error upper bound")
-    mu1, mu2 = intens.values
-    p1, p2 = intens.probabilities
-    tau1 = intens.tau(1)
-    raw = tau1 / (mu1 - mu2) * (
-        math.exp(mu1) * _c_plus(stats, ledger, 0) / p1
-        - math.exp(mu2) * _c_minus(stats, ledger, 1) / p2
-    )
-    return _clip(raw, 0.0, stats.block_size)
-
-
-def phase_error_upper(v1_upper: float, s1_lower_x: float) -> float:
-    """Upper bound on the single-photon QBER in the monitoring basis,
-    ``v1_upper / s1_lower_x`` clipped to [0, 1]. A vanished single-photon
-    estimate leaves the ratio undefined and the protocol must abort."""
-    if s1_lower_x <= 0.0:
-        raise EstimateUnavailable("abort: no single-photon estimate")
-    return _clip(v1_upper / s1_lower_x, 0.0, 1.0)
-
-
-def _lambda_bound(v1_upper: float, s1_lower_x: float) -> Tuple[Optional[float], Optional[str]]:
-    """(lambda_upper, abort_reason): the phase-error bound, or None with the
-    reason when no single-photon estimate survives."""
-    try:
-        return phase_error_upper(v1_upper, s1_lower_x), None
-    except EstimateUnavailable as exc:
-        return None, str(exc)
-
-
-def delta_ci_1decoy(ledger: EpsilonLedger, k_min_z: int, k_min_x: int) -> float:
-    """Total failure budget of the 1-decoy bound set: the ten-term sum over
-    every concentration inequality used, duplicates across bounds already
-    coalesced (an inequality that holds, holds everywhere it appears)."""
-    terms = (
-        ledger.n_minus["Z"][1],
-        ledger.n_plus["Z"][0],
-        ledger.c_plus["Z"][k_min_z],
-        ledger.v_plus["Z"],
-        ledger.c_plus["X"][k_min_x],
-        ledger.v_plus["X"],
-        ledger.n_minus["X"][1],
-        ledger.n_plus["X"][0],
-        ledger.c_plus["X"][0],
-        ledger.c_minus["X"][1],
-    )
-    return math.fsum(terms)
-
-
-def delta_ci_2decoy(ledger: EpsilonLedger) -> float:
-    """Total failure budget of the 2-decoy bound set (twelve-term sum)."""
-    terms = (
-        ledger.n_minus["Z"][1],
-        ledger.n_plus["Z"][2],
-        ledger.n_plus["Z"][0],
-        ledger.n_minus["Z"][2],
-        ledger.n_plus["Z"][1],
-        ledger.n_minus["X"][1],
-        ledger.n_plus["X"][2],
-        ledger.n_plus["X"][0],
-        ledger.n_minus["X"][2],
-        ledger.n_plus["X"][1],
-        ledger.c_plus["X"][1],
-        ledger.c_minus["X"][2],
-    )
-    return math.fsum(terms)
-
-
-def _basis_bounds_1decoy(
-    stats: BasisStats, intens: Intensities, ledger: EpsilonLedger
-) -> Tuple[float, float, float, int]:
-    """(s0_lower, s0_upper, s1_lower, k_min index) for one basis."""
-    s0_lower = vacuum_lower_1decoy(stats, intens, ledger)
-    s0_upper, k_idx = vacuum_upper_1decoy(stats, intens, ledger)
-    s1_lower = single_lower_1decoy(stats, intens, ledger, s0_upper)
-    return s0_lower, s0_upper, s1_lower, k_idx
-
-
-def bounds_1decoy(
-    stats_z: BasisStats,
-    stats_x: BasisStats,
-    intens: Intensities,
-    ledger: EpsilonLedger,
-) -> DecoyBounds:
-    """Full 1-decoy bound set from both bases' observed statistics.
-
-    The monitoring-basis single-photon lower bound reuses the key-basis
-    formulas with the bases swapped. The total failure budget ``delta_ci`` is
-    the ten-term ledger sum.
-    """
-    if stats_z.basis == stats_x.basis:
-        raise ConfigError("bounds need one Z-basis and one X-basis statistic")
-    b = ledger
-    if stats_z.block_size <= 0 or stats_x.block_size <= 0:
-        return DecoyBounds(
-            mode="1decoy", s0_lower=0.0, s0_upper=0.0, s1_lower=0.0,
-            x_s0_upper=0.0, x_s1_lower=0.0, v1_upper=0.0, lambda_upper=None,
-            delta_ci=delta_ci_1decoy(b, 0, 0),
-            abort_reason="abort: empty block",
-        )
-
-    s0l, s0u, s1l, kz = _basis_bounds_1decoy(stats_z, intens, ledger)
-    xs0l, xs0u, xs1l, kx = _basis_bounds_1decoy(stats_x, intens, ledger)
-    v1u = error_upper_1decoy(stats_x, intens, ledger)
-    lam, abort_reason = _lambda_bound(v1u, xs1l)
-
-    bz = stats_z.basis
-    bx = stats_x.basis
-    budget_s0u = b.v_plus[bz] + b.c_plus[bz][kz]
-    budget_s1l = b.n_minus[bz][1] + b.n_plus[bz][0] + budget_s0u
-    budget_xs0u = b.v_plus[bx] + b.c_plus[bx][kx]
-    budget_xs1l = b.n_minus[bx][1] + b.n_plus[bx][0] + budget_xs0u
-    budget_v1u = b.c_plus[bx][0] + b.c_minus[bx][1]
-    budgets = {
-        "s0_lower": b.n_minus[bz][1] + b.n_plus[bz][0],
-        "s0_upper": budget_s0u,
-        "s1_lower": budget_s1l,
-        "x_s0_upper": budget_xs0u,
-        "x_s1_lower": budget_xs1l,
-        "v1_upper": budget_v1u,
-        "lambda_upper": budget_v1u + budget_xs1l,
-    }
-    return DecoyBounds(
-        mode="1decoy",
-        s0_lower=s0l,
-        s0_upper=s0u,
-        s1_lower=s1l,
-        x_s0_upper=xs0u,
-        x_s1_lower=xs1l,
-        v1_upper=v1u,
-        lambda_upper=lam,
-        delta_ci=delta_ci_1decoy(ledger, kz, kx),
-        k_min_z=intens.values[kz],
-        k_min_x=intens.values[kx],
-        budgets=budgets,
-        abort_reason=abort_reason,
-    )
-
-
-def vacuum_lower_2decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
-    r"""2-decoy vacuum lower bound, built from the two weakest intensities:
-
-    .. math::
-
-        s_0^- = \frac{\tau_0}{\mu_2 - \mu_3}
-            \left( \frac{\mu_2 e^{\mu_3} n_{\mu_3}^-}{p_{\mu_3}}
-                 - \frac{\mu_3 e^{\mu_2} n_{\mu_2}^+}{p_{\mu_2}} \right).
-
-    Budget: eps_n_minus(mu3) + eps_n_plus(mu2).
-    """
-    if intens.mode != "2decoy":
-        raise ConfigError("vacuum_lower_2decoy needs exactly three intensities")
-    _, mu2, mu3 = intens.values
-    _, p2, p3 = intens.probabilities
-    _, n2_plus = _n_bounds(stats, ledger, 1)
-    n3_minus, _ = _n_bounds(stats, ledger, 2)
-    tau0 = intens.tau(0)
-    raw = tau0 / (mu2 - mu3) * (
-        mu2 * math.exp(mu3) * n3_minus / p3 - mu3 * math.exp(mu2) * n2_plus / p2
     )
     return _clip(raw, 0.0, stats.block_size)
 
@@ -526,27 +356,158 @@ def single_lower_2decoy(
     return _clip(raw, 0.0, stats.block_size)
 
 
-def error_upper_2decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
-    r"""2-decoy single-photon error upper bound,
+def error_upper(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> float:
+    r"""Upper bound on the number of single-photon errors, taken on the two
+    weakest intensities mu_a > mu_b,
 
     .. math::
 
-        v_1^+ = \frac{\tau_1}{\mu_2 - \mu_3}
-            \left( \frac{e^{\mu_2} c_{\mu_2}^+}{p_{\mu_2}}
-                 - \frac{e^{\mu_3} c_{\mu_3}^-}{p_{\mu_3}} \right).
+        v_1^+ = \frac{\tau_1}{\mu_a - \mu_b}
+            \left( \frac{e^{\mu_a} c_{\mu_a}^+}{p_{\mu_a}}
+                 - \frac{e^{\mu_b} c_{\mu_b}^-}{p_{\mu_b}} \right),
 
-    Budget: eps_c_plus(mu2) + eps_c_minus(mu3).
+    clipped to [0, block size]. (mu_a, mu_b) is (mu_1, mu_2) in 1-decoy mode
+    and (mu_2, mu_3) in 2-decoy mode. Budget: eps_c_plus(mu_a) +
+    eps_c_minus(mu_b).
     """
-    if intens.mode != "2decoy":
-        raise ConfigError("error_upper_2decoy needs exactly three intensities")
-    _, mu2, mu3 = intens.values
-    _, p2, p3 = intens.probabilities
+    _require_post_ec(stats, "single-photon error upper bound")
+    a, b = _weakest_pair(intens)
+    mu_a, mu_b = intens.values[a], intens.values[b]
+    p_a, p_b = intens.probabilities[a], intens.probabilities[b]
     tau1 = intens.tau(1)
-    raw = tau1 / (mu2 - mu3) * (
-        math.exp(mu2) * _c_plus(stats, ledger, 1) / p2
-        - math.exp(mu3) * _c_minus(stats, ledger, 2) / p3
+    raw = tau1 / (mu_a - mu_b) * (
+        math.exp(mu_a) * _c_plus(stats, ledger, a) / p_a
+        - math.exp(mu_b) * _c_minus(stats, ledger, b) / p_b
     )
     return _clip(raw, 0.0, stats.block_size)
+
+
+def _error_upper_terms(ledger: EpsilonLedger, basis: str, intens: Intensities) -> Tuple[float, ...]:
+    a, b = _weakest_pair(intens)
+    return ledger.c_plus[basis][a], ledger.c_minus[basis][b]
+
+
+def phase_error_upper(v1_upper: float, s1_lower_x: float) -> float:
+    """Upper bound on the single-photon QBER in the monitoring basis,
+    ``v1_upper / s1_lower_x`` clipped to [0, 1]. A vanished single-photon
+    estimate leaves the ratio undefined and the protocol must abort."""
+    if s1_lower_x <= 0.0:
+        raise EstimateUnavailable("abort: no single-photon estimate")
+    return _clip(v1_upper / s1_lower_x, 0.0, 1.0)
+
+
+# One basis' bounds by name, with the k_min index chosen (None if the mode
+# has no choice to make).
+_BasisBounds = Tuple[Dict[str, float], Optional[int]]
+_BasisTerms = Dict[str, Tuple[float, ...]]
+
+
+def _basis_1decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> _BasisBounds:
+    s0_lower = vacuum_lower(stats, intens, ledger)
+    s0_upper, k = vacuum_upper_1decoy(stats, intens, ledger)
+    s1_lower = single_lower_1decoy(stats, intens, ledger, s0_upper)
+    return {"s0_lower": s0_lower, "s0_upper": s0_upper, "s1_lower": s1_lower}, k
+
+
+def _terms_1decoy(
+    ledger: EpsilonLedger, basis: str, intens: Intensities, k: Optional[int]
+) -> _BasisTerms:
+    s0_lower = _vacuum_lower_terms(ledger, basis, intens)
+    s0_upper = (ledger.v_plus[basis], ledger.c_plus[basis][k])
+    # single_lower_1decoy reads the same two detection counts as vacuum_lower.
+    return {"s0_lower": s0_lower, "s0_upper": s0_upper, "s1_lower": s0_lower + s0_upper}
+
+
+def _basis_2decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> _BasisBounds:
+    s0_lower = vacuum_lower(stats, intens, ledger)
+    s1_lower = single_lower_2decoy(stats, intens, ledger, s0_lower)
+    return {"s0_lower": s0_lower, "s1_lower": s1_lower}, None
+
+
+def _terms_2decoy(
+    ledger: EpsilonLedger, basis: str, intens: Intensities, k: Optional[int]
+) -> _BasisTerms:
+    s0_lower = _vacuum_lower_terms(ledger, basis, intens)
+    n_plus, n_minus = ledger.n_plus[basis], ledger.n_minus[basis]
+    return {"s0_lower": s0_lower, "s1_lower": (n_plus[0], n_minus[1], n_plus[2]) + s0_lower}
+
+
+def _bound_set(
+    mode: str,
+    stats_z: BasisStats,
+    stats_x: BasisStats,
+    intens: Intensities,
+    ledger: EpsilonLedger,
+    basis_bounds: Callable[[BasisStats, Intensities, EpsilonLedger], _BasisBounds],
+    basis_terms: Callable[[EpsilonLedger, str, Intensities, Optional[int]], _BasisTerms],
+) -> DecoyBounds:
+    """A mode's full bound set: ``basis_bounds`` gives each basis' vacuum and
+    single-photon bounds, ``basis_terms`` the ledger entries each of them
+    rests on. A bound's budget is the sum of its entries. ``delta_ci`` is the
+    sum of the entries behind s1_lower and lambda_upper: every other reported
+    bound rests on a subset of them, and an inequality that holds, holds
+    everywhere it appears."""
+    if stats_z.basis == stats_x.basis:
+        raise ConfigError("bounds need one Z-basis and one X-basis statistic")
+    empty = stats_z.block_size <= 0 or stats_x.block_size <= 0
+    if empty:
+        # No estimate; Delta_ci is charged as if k_min were index 0.
+        z, kz, x, kx = {}, 0, {}, 0
+    else:
+        z, kz = basis_bounds(stats_z, intens, ledger)
+        x, kx = basis_bounds(stats_x, intens, ledger)
+
+    terms = basis_terms(ledger, stats_z.basis, intens, kz)
+    x_terms = basis_terms(ledger, stats_x.basis, intens, kx)
+    if "s0_upper" in x_terms:
+        terms["x_s0_upper"] = x_terms["s0_upper"]
+    terms["x_s1_lower"] = x_terms["s1_lower"]
+    terms["v1_upper"] = _error_upper_terms(ledger, stats_x.basis, intens)
+    terms["lambda_upper"] = terms["v1_upper"] + terms["x_s1_lower"]
+    delta_ci = math.fsum(terms["s1_lower"] + terms["lambda_upper"])
+
+    if empty:
+        s0_upper = 0.0 if "s0_upper" in terms else None
+        return DecoyBounds(
+            mode=mode, s0_lower=0.0, s0_upper=s0_upper, s1_lower=0.0,
+            x_s0_upper=s0_upper, x_s1_lower=0.0, v1_upper=0.0, lambda_upper=None,
+            delta_ci=delta_ci, abort_reason="abort: empty block",
+        )
+    v1_upper = error_upper(stats_x, intens, ledger)
+    try:
+        lambda_upper, abort_reason = phase_error_upper(v1_upper, x["s1_lower"]), None
+    except EstimateUnavailable as exc:
+        lambda_upper, abort_reason = None, str(exc)
+    return DecoyBounds(
+        mode=mode,
+        s0_lower=z["s0_lower"],
+        s0_upper=z.get("s0_upper"),
+        s1_lower=z["s1_lower"],
+        x_s0_upper=x.get("s0_upper"),
+        x_s1_lower=x["s1_lower"],
+        v1_upper=v1_upper,
+        lambda_upper=lambda_upper,
+        delta_ci=delta_ci,
+        k_min_z=None if kz is None else intens.values[kz],
+        k_min_x=None if kx is None else intens.values[kx],
+        budgets={name: math.fsum(entries) for name, entries in terms.items()},
+        abort_reason=abort_reason,
+    )
+
+
+def bounds_1decoy(
+    stats_z: BasisStats,
+    stats_x: BasisStats,
+    intens: Intensities,
+    ledger: EpsilonLedger,
+) -> DecoyBounds:
+    """Full 1-decoy bound set from both bases' observed statistics.
+
+    The monitoring-basis single-photon lower bound reuses the key-basis
+    formulas with the bases swapped. The total failure budget ``delta_ci`` is
+    the ten-term ledger sum.
+    """
+    return _bound_set("1decoy", stats_z, stats_x, intens, ledger, _basis_1decoy, _terms_1decoy)
 
 
 def bounds_2decoy(
@@ -557,55 +518,9 @@ def bounds_2decoy(
 ) -> DecoyBounds:
     """Full 2-decoy bound set. No vacuum upper bound is needed (the
     single-photon bound consumes the vacuum lower bound instead) and key-basis
-    error counts are never used, so acceptance may precede error correction."""
-    if stats_z.basis == stats_x.basis:
-        raise ConfigError("bounds need one Z-basis and one X-basis statistic")
-    b = ledger
-    if stats_z.block_size <= 0 or stats_x.block_size <= 0:
-        return DecoyBounds(
-            mode="2decoy", s0_lower=0.0, s0_upper=None, s1_lower=0.0,
-            x_s0_upper=None, x_s1_lower=0.0, v1_upper=0.0, lambda_upper=None,
-            delta_ci=delta_ci_2decoy(b),
-            abort_reason="abort: empty block",
-        )
-
-    s0l = vacuum_lower_2decoy(stats_z, intens, ledger)
-    s1l = single_lower_2decoy(stats_z, intens, ledger, s0l)
-    xs0l = vacuum_lower_2decoy(stats_x, intens, ledger)
-    xs1l = single_lower_2decoy(stats_x, intens, ledger, xs0l)
-    v1u = error_upper_2decoy(stats_x, intens, ledger)
-    lam, abort_reason = _lambda_bound(v1u, xs1l)
-
-    bz, bx = stats_z.basis, stats_x.basis
-
-    def n_budget(basis: str) -> float:
-        return (
-            b.n_minus[basis][1] + b.n_plus[basis][2] + b.n_plus[basis][0]
-            + b.n_minus[basis][2] + b.n_plus[basis][1]
-        )
-
-    budget_v1u = b.c_plus[bx][1] + b.c_minus[bx][2]
-    budgets = {
-        "s0_lower": b.n_minus[bz][2] + b.n_plus[bz][1],
-        "s1_lower": n_budget(bz),
-        "x_s0_lower": b.n_minus[bx][2] + b.n_plus[bx][1],
-        "x_s1_lower": n_budget(bx),
-        "v1_upper": budget_v1u,
-        "lambda_upper": budget_v1u + n_budget(bx),
-    }
-    return DecoyBounds(
-        mode="2decoy",
-        s0_lower=s0l,
-        s0_upper=None,
-        s1_lower=s1l,
-        x_s0_upper=None,
-        x_s1_lower=xs1l,
-        v1_upper=v1u,
-        lambda_upper=lam,
-        delta_ci=delta_ci_2decoy(ledger),
-        budgets=budgets,
-        abort_reason=abort_reason,
-    )
+    error counts are never used, so acceptance may precede error correction.
+    The total failure budget ``delta_ci`` is the twelve-term ledger sum."""
+    return _bound_set("2decoy", stats_z, stats_x, intens, ledger, _basis_2decoy, _terms_2decoy)
 
 
 def decoy_bounds(

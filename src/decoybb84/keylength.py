@@ -237,14 +237,27 @@ def key_length_general_1decoy(
     )
 
 
-def _simplified(
+def key_length_for_mode(
     q: AcceptanceSet,
     eps_cor: float,
     eps_sec_prime: float,
     leak_ec: float,
     mode: str,
-    gamma: Optional[float],
+    gamma: Optional[float] = None,
 ) -> KeyLengthReport:
+    r"""Simplified key length of the protocol mode ('1decoy' / '2decoy'):
+    every slack variable collapses onto eps0 = eps_sec' / c, with the budget
+    constant c = 15 (1-decoy, ten-term concentration ledger) or 17 (2-decoy,
+    twelve terms) from ``BUDGET_GEOMETRY``, giving
+
+    .. math::
+
+        l = s_{Z,0}^l + s_{Z,1}^l (1 - h(\Lambda^u + \gamma))
+            - \mathrm{leak}_{EC} - \log_2\frac{2}{\epsilon_{cor}}
+            - 4\log_2\frac{c}{\epsilon_{sec}' \sqrt[4]{2}} .
+
+    Identical (pre-floor) to the general formula under that substitution.
+    """
     budget = EpsilonBudget.simplified(eps_cor, eps_sec_prime, mode)
     if budget.pa_slack <= 0.0:
         raise NoAdmissibleKey("no admissible key: degenerate simplified budget")
@@ -255,52 +268,6 @@ def _simplified(
         q, f"simplified-{mode}", leak_ec, correctness_term, secrecy_term,
         budget.nu, gamma, [],
     )
-
-
-def key_length_simplified_1decoy(
-    q: AcceptanceSet,
-    eps_cor: float,
-    eps_sec_prime: float,
-    leak_ec: float,
-    gamma: Optional[float] = None,
-) -> KeyLengthReport:
-    r"""Simplified 1-decoy key length: every slack variable collapses onto
-    eps0 = eps_sec'/15, giving
-
-    .. math::
-
-        l = s_{Z,0}^l + s_{Z,1}^l (1 - h(\Lambda^u + \gamma))
-            - \mathrm{leak}_{EC} - \log_2\frac{2}{\epsilon_{cor}}
-            - 4\log_2\frac{15}{\epsilon_{sec}' \sqrt[4]{2}} .
-
-    Identical (pre-floor) to the general formula under that substitution.
-    """
-    return _simplified(q, eps_cor, eps_sec_prime, leak_ec, "1decoy", gamma)
-
-
-def key_length_simplified_2decoy(
-    q: AcceptanceSet,
-    eps_cor: float,
-    eps_sec_prime: float,
-    leak_ec: float,
-    gamma: Optional[float] = None,
-) -> KeyLengthReport:
-    """Simplified 2-decoy key length: same shape as the 1-decoy form with the
-    budget constant 17 (twelve-term concentration ledger), i.e. the final term
-    is 4*log2(17 / (eps_sec' * 2**0.25)) and eps0 = eps_sec'/17."""
-    return _simplified(q, eps_cor, eps_sec_prime, leak_ec, "2decoy", gamma)
-
-
-def key_length_for_mode(
-    q: AcceptanceSet,
-    eps_cor: float,
-    eps_sec_prime: float,
-    leak_ec: float,
-    mode: str,
-    gamma: Optional[float] = None,
-) -> KeyLengthReport:
-    """Simplified key length of the protocol mode ('1decoy' / '2decoy')."""
-    return _simplified(q, eps_cor, eps_sec_prime, leak_ec, mode, gamma)
 
 
 def check_term_breakdown(report: KeyLengthReport) -> bool:

@@ -85,58 +85,21 @@ class ChannelModel:
         return no_signal * dark_any * 0.5 + (1.0 - no_signal) * ((1.0 - p) * self.misalignment + p * 0.5)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round's full record, including the simulator-only photon number."""
-
-    photon_number: int
-    intensity_idx: int
-    alice_basis_z: bool
-    alice_bit: int
-    bob_basis_z: bool
-    detected: bool
-    bob_bit: Optional[int]
-    double_click: bool
-
-
+@dataclass
 class Rounds:
     """Structure-of-arrays round storage (one protocol run's N rounds)."""
 
-    def __init__(
-        self,
-        photon_number: np.ndarray,
-        intensity_idx: np.ndarray,
-        alice_basis: np.ndarray,
-        alice_bits: np.ndarray,
-        bob_basis: np.ndarray,
-        detected: np.ndarray,
-        bob_bits: np.ndarray,
-        double_click: np.ndarray,
-    ) -> None:
-        self.photon_number = photon_number
-        self.intensity_idx = intensity_idx
-        self.alice_basis = alice_basis
-        self.alice_bits = alice_bits
-        self.bob_basis = bob_basis
-        self.detected = detected
-        self.bob_bits = bob_bits
-        self.double_click = double_click
+    photon_number: np.ndarray
+    intensity_idx: np.ndarray
+    alice_basis: np.ndarray
+    alice_bits: np.ndarray
+    bob_basis: np.ndarray
+    detected: np.ndarray
+    bob_bits: np.ndarray
+    double_click: np.ndarray
 
     def __len__(self) -> int:
         return len(self.photon_number)
-
-    def __getitem__(self, i: int) -> RoundRecord:
-        detected = bool(self.detected[i])
-        return RoundRecord(
-            photon_number=int(self.photon_number[i]),
-            intensity_idx=int(self.intensity_idx[i]),
-            alice_basis_z=bool(self.alice_basis[i]),
-            alice_bit=int(self.alice_bits[i]),
-            bob_basis_z=bool(self.bob_basis[i]),
-            detected=detected,
-            bob_bit=int(self.bob_bits[i]) if detected else None,
-            double_click=bool(self.double_click[i]),
-        )
 
 
 def generate_rounds(
@@ -248,15 +211,6 @@ class OracleTruth:
         k = intens.values[k_idx]
         return math.fsum(
             intensity_posterior(pairs, m, k) * float(s[m]) for m in range(len(s)) if s[m]
-        )
-
-    def expected_errors(self, intens: Intensities, basis: str, k_idx: int) -> float:
-        """Expected per-intensity errors sum_m p(k|m) v_m."""
-        _, v = self.spectrum(basis)
-        pairs = intens.pairs()
-        k = intens.values[k_idx]
-        return math.fsum(
-            intensity_posterior(pairs, m, k) * float(v[m]) for m in range(len(v)) if v[m]
         )
 
 

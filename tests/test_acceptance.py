@@ -16,9 +16,8 @@ from decoybb84.decoy import EpsilonLedger, Intensities
 from decoybb84.keylength import (
     AcceptanceSet,
     EpsilonBudget,
+    key_length_for_mode,
     key_length_general_1decoy,
-    key_length_simplified_1decoy,
-    key_length_simplified_2decoy,
 )
 from decoybb84.numerics import entropy_comparison, spiked_uniform_entropies
 from decoybb84.protocol import ProtocolParams, error_correct, precompute_key_length
@@ -73,8 +72,8 @@ def test_criterion_1_budget_constants():
         b2 = EpsilonBudget.simplified(1e-12, esp, "2decoy")
         ok &= b1.eps0 == esp / 15 and b2.eps0 == esp / 17
         ok &= b1.delta_ci == 10 * b1.eps0 and b2.delta_ci == 12 * b2.eps0
-        r1 = key_length_simplified_1decoy(WORKED_Q, 1e-12, esp, 0.0, gamma=0.0)
-        r2 = key_length_simplified_2decoy(WORKED_Q, 1e-12, esp, 0.0, gamma=0.0)
+        r1 = key_length_for_mode(WORKED_Q, 1e-12, esp, 0.0, "1decoy", gamma=0.0)
+        r2 = key_length_for_mode(WORKED_Q, 1e-12, esp, 0.0, "2decoy", gamma=0.0)
         ok &= abs(-r1.terms["secrecy"] - 4 * math.log2(15 / (esp * 2**0.25))) < 1e-9
         ok &= abs(-r2.terms["secrecy"] - 4 * math.log2(17 / (esp * 2**0.25))) < 1e-9
     detail.append("constants 15/10-term and 17/12-term verified symbolically")
@@ -99,7 +98,7 @@ def test_criterion_2_general_equals_simplified():
         leak = float(rng.uniform(0, q.n_z))
         budget = EpsilonBudget.simplified(eps_cor, esp, "1decoy")
         general = key_length_general_1decoy(q, budget, leak)
-        simplified = key_length_simplified_1decoy(q, eps_cor, esp, leak)
+        simplified = key_length_for_mode(q, eps_cor, esp, leak, "1decoy")
         worst = max(worst, abs(general.pre_floor - simplified.pre_floor))
     report("2 (general = simplified)", worst <= 1e-9, f"max |diff| = {worst:.2e}")
 
@@ -323,8 +322,8 @@ def test_criterion_9_key_length_monotonicity_grid():
                 q = AcceptanceSet(n_z=n_z, n_x=n_x, s_z0=float(s_z0), s_z1=float(s_z1),
                                   s_x1=5000, lambda_u=float(lam))
                 for l, leak in enumerate(leak_grid):
-                    values[i, j, k, l] = key_length_simplified_1decoy(
-                        q, eps_cor, esp, float(leak)
+                    values[i, j, k, l] = key_length_for_mode(
+                        q, eps_cor, esp, float(leak), "1decoy"
                     ).pre_floor
     eps = 1e-9
     violations = (

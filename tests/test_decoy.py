@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoybb84.decoy import (
     BasisStats,
@@ -14,17 +16,15 @@ from decoybb84.decoy import (
     bounds_2decoy,
     count_interval,
     decoy_bounds,
-    delta_ci_1decoy,
-    delta_ci_2decoy,
-    error_upper_1decoy,
+    error_upper,
     phase_error_upper,
     single_lower_1decoy,
     single_lower_2decoy,
-    vacuum_lower_1decoy,
-    vacuum_lower_2decoy,
+    vacuum_lower,
     vacuum_upper_1decoy,
 )
 from decoybb84.errors import ConfigError, EstimateUnavailable
+from decoybb84.keylength import BUDGET_GEOMETRY
 from decoybb84.numerics import hoeffding_delta, tau_m
 
 from conftest import philox
@@ -105,36 +105,83 @@ class TestEpsilonLedger:
             EpsilonLedger.uniform(1.0, 2)
 
 
-def inline_vacuum_lower(intens, ledger, basis, n1, n2, block):
-    """Independent recomputation of the vacuum lower bound."""
-    mu1, mu2 = intens.values
-    p1, p2 = intens.probabilities
+INTENSITIES = {
+    "1decoy": Intensities(values=(0.5, 0.1), probabilities=(0.7, 0.3)),
+    "2decoy": Intensities(values=(0.6, 0.2, 0.05), probabilities=(0.6, 0.25, 0.15)),
+}
+
+
+def inline_vacuum_lower(intens, ledger, basis, na, nb, block):
+    """Independent recomputation of the vacuum lower bound from the counts
+    ``na``, ``nb`` of the two weakest intensities mu_a > mu_b."""
+    a, b = len(intens.values) - 2, len(intens.values) - 1
+    mu_a, mu_b = intens.values[a], intens.values[b]
+    p_a, p_b = intens.probabilities[a], intens.probabilities[b]
     tau0 = tau_m(intens.pairs(), 0)
-    n2m = max(n2 - hoeffding_delta(block, ledger.n_minus[basis][1]), 0.0)
-    n1p = n1 + hoeffding_delta(block, ledger.n_plus[basis][0])
-    return tau0 / (mu1 - mu2) * (
-        mu1 * math.exp(mu2) * n2m / p2 - mu2 * math.exp(mu1) * n1p / p1
+    nbm = max(nb - hoeffding_delta(block, ledger.n_minus[basis][b]), 0.0)
+    nap = na + hoeffding_delta(block, ledger.n_plus[basis][a])
+    return tau0 / (mu_a - mu_b) * (
+        mu_a * math.exp(mu_b) * nbm / p_b - mu_b * math.exp(mu_a) * nap / p_a
     )
+
+
+def inline_error_upper(intens, ledger, basis, ca, cb, total_errors, block):
+    """Independent recomputation of the single-photon error upper bound from
+    the error counts ``ca``, ``cb`` of the two weakest intensities, clipped."""
+    a, b = len(intens.values) - 2, len(intens.values) - 1
+    mu_a, mu_b = intens.values[a], intens.values[b]
+    p_a, p_b = intens.probabilities[a], intens.probabilities[b]
+    tau1 = tau_m(intens.pairs(), 1)
+    d = lambda eps: hoeffding_delta(total_errors, eps) if total_errors > 0 else 0.0
+    cap = ca + d(ledger.c_plus[basis][a])
+    cbm = max(cb - d(ledger.c_minus[basis][b]), 0.0)
+    raw = tau1 / (mu_a - mu_b) * (math.exp(mu_a) * cap / p_a - math.exp(mu_b) * cbm / p_b)
+    return min(max(raw, 0.0), block)
+
+
+@pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+class TestSharedKernels:
+    """``vacuum_lower`` and ``error_upper`` are one formula for both modes,
+    taken on the two weakest intensities."""
+
+    def test_vacuum_lower_matches_inline(self, mode):
+        intens = INTENSITIES[mode]
+        n = len(intens.values)
+        for ledger in (EpsilonLedger.uniform(1e-6, n), nonuniform_ledger(philox(11), n)):
+            rng = philox(1)
+            for _ in range(20):
+                detections = [int(rng.integers(0, 5000)) for _ in range(n)]
+                stats = make_stats("Z", detections, (0,) * n)
+                block = sum(detections)
+                raw = inline_vacuum_lower(intens, ledger, "Z", *detections[-2:], block)
+                expected = min(max(raw, 0.0), block)
+                assert vacuum_lower(stats, intens, ledger) == pytest.approx(
+                    expected, rel=1e-12, abs=1e-12
+                )
+
+    def test_error_upper_matches_inline(self, mode):
+        intens = INTENSITIES[mode]
+        n = len(intens.values)
+        ledger = nonuniform_ledger(philox(12), n)
+        rng = philox(2)
+        for _ in range(20):
+            detections = [int(v) for v in rng.integers(1, 5000, n)]
+            errors = [int(rng.integers(0, d // 10 + 1)) for d in detections]
+            stats = make_stats("X", detections, errors)
+            block = sum(detections)
+            expected = inline_error_upper(
+                intens, ledger, "X", *errors[-2:], sum(errors), block
+            )
+            assert error_upper(stats, intens, ledger) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12
+            )
 
 
 class TestVacuumLower1Decoy:
     def test_all_zero_detections(self, intens2):
         stats = make_stats("Z", (0, 0), (0, 0))
         ledger = EpsilonLedger.uniform(1e-10, 2)
-        assert vacuum_lower_1decoy(stats, intens2, ledger) == 0.0
-
-    def test_matches_inline_recomputation(self, intens2):
-        ledger = EpsilonLedger.uniform(1e-6, 2)
-        rng = philox(1)
-        for _ in range(20):
-            n1 = int(rng.integers(0, 5000))
-            n2 = int(rng.integers(0, 5000))
-            stats = make_stats("Z", (n1, n2), (0, 0))
-            raw = inline_vacuum_lower(intens2, ledger, "Z", n1, n2, n1 + n2)
-            expected = min(max(raw, 0.0), n1 + n2)
-            assert vacuum_lower_1decoy(stats, intens2, ledger) == pytest.approx(
-                expected, rel=1e-12, abs=1e-12
-            )
+        assert vacuum_lower(stats, intens2, ledger) == 0.0
 
     def test_affine_in_counts(self, intens2):
         # The pre-clip bound is affine in (n1, n2) at fixed block size: the
@@ -160,13 +207,22 @@ class TestVacuumUpper1Decoy:
         assert value == pytest.approx(2 * hoeffding_delta(1000, 0.5), rel=1e-12)
 
     def test_auto_takes_minimum(self, intens2):
-        stats = make_stats("Z", (700, 300), (9, 4))
-        ledger = EpsilonLedger.uniform(1e-3, 2)
-        v0, _ = vacuum_upper_1decoy(stats, intens2, ledger, k_choice=0)
-        v1, _ = vacuum_upper_1decoy(stats, intens2, ledger, k_choice=1)
-        auto, idx = vacuum_upper_1decoy(stats, intens2, ledger, k_choice="auto")
-        assert auto == min(v0, v1)
-        assert auto == (v0 if idx == 0 else v1)
+        tau0 = tau_m(intens2.pairs(), 0)
+        for errors in ((30, 2), (1, 12)):  # k_min index 1, then 0
+            stats = make_stats("Z", (700, 300), errors)
+            ledger = nonuniform_ledger(philox(sum(errors)), 2)
+            delta_v = hoeffding_delta(1000, ledger.v_plus["Z"])
+            per_intensity = [
+                min(2 * ((c + hoeffding_delta(sum(errors), ledger.c_plus["Z"][k]))
+                         * tau0 * math.exp(mu) / p + delta_v), 1000.0)
+                for k, (c, mu, p) in enumerate(
+                    zip(errors, intens2.values, intens2.probabilities)
+                )
+            ]
+            value, idx = vacuum_upper_1decoy(stats, intens2, ledger)
+            assert value == pytest.approx(min(per_intensity), rel=1e-12)
+            assert idx == per_intensity.index(min(per_intensity))
+            assert idx == (1 if errors[0] > errors[1] else 0)
 
     def test_key_basis_requires_post_ec_errors(self, intens2):
         stats = make_stats("Z", (700, 300), (9, 4), post_ec=False)
@@ -198,12 +254,12 @@ class TestErrorUpper1Decoy:
     def test_zero_errors(self, intens2):
         stats = make_stats("X", (700, 300), (0, 0))
         ledger = EpsilonLedger.uniform(0.5, 2)
-        assert error_upper_1decoy(stats, intens2, ledger) == 0.0
+        assert error_upper(stats, intens2, ledger) == 0.0
 
     def test_shrinking_eps_widens(self, intens2):
         stats = make_stats("X", (7000, 3000), (60, 25))
         values = [
-            error_upper_1decoy(stats, intens2, EpsilonLedger.uniform(eps, 2))
+            error_upper(stats, intens2, EpsilonLedger.uniform(eps, 2))
             for eps in (1e-2, 1e-4, 1e-6, 1e-8)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -251,7 +307,8 @@ class TestBounds1Decoy:
             ]
         )
         assert bounds.delta_ci == pytest.approx(manual, rel=1e-12)
-        assert bounds.delta_ci == pytest.approx(delta_ci_1decoy(ledger, kz, kx), rel=1e-15)
+        uniform = bounds_1decoy(stats_z, stats_x, intens2, EpsilonLedger.uniform(1e-2, 2))
+        assert uniform.delta_ci == BUDGET_GEOMETRY["1decoy"][1] * 1e-2
 
     def test_empty_monitoring_block_aborts(self, intens2):
         ledger = EpsilonLedger.uniform(1e-3, 2)
@@ -346,7 +403,7 @@ class TestBounds2Decoy:
         ledger = EpsilonLedger.uniform(1e-6, 3)
         stats = make_stats("Z", (6000, 2500, 1500), (30, 12, 8))
         s0, s1 = self.inline_bounds(intens3, ledger, stats)
-        assert vacuum_lower_2decoy(stats, intens3, ledger) == pytest.approx(s0, rel=1e-12)
+        assert vacuum_lower(stats, intens3, ledger) == pytest.approx(s0, rel=1e-12)
         assert single_lower_2decoy(stats, intens3, ledger, s0) == pytest.approx(s1, rel=1e-12)
 
     def test_single_lower_nondecreasing_in_vacuum_lower(self, intens3):
@@ -360,6 +417,8 @@ class TestBounds2Decoy:
 
     def test_delta_ci_term_count(self, intens3):
         ledger = nonuniform_ledger(philox(9), 3)
+        stats_z = make_stats("Z", (6000, 2500, 1500), (30, 12, 8))
+        stats_x = make_stats("X", (1200, 500, 300), (7, 3, 2))
         manual = sum(
             [
                 ledger.n_minus["Z"][1], ledger.n_plus["Z"][2], ledger.n_plus["Z"][0],
@@ -369,9 +428,10 @@ class TestBounds2Decoy:
                 ledger.c_plus["X"][1], ledger.c_minus["X"][2],
             ]
         )
-        assert delta_ci_2decoy(ledger) == pytest.approx(manual, rel=1e-15)
-        uniform = EpsilonLedger.uniform(1e-2, 3)
-        assert delta_ci_2decoy(uniform) == pytest.approx(12e-2, rel=1e-12)
+        bounds = bounds_2decoy(stats_z, stats_x, intens3, ledger)
+        assert bounds.delta_ci == pytest.approx(manual, rel=1e-15)
+        uniform = bounds_2decoy(stats_z, stats_x, intens3, EpsilonLedger.uniform(1e-2, 3))
+        assert uniform.delta_ci == BUDGET_GEOMETRY["2decoy"][1] * 1e-2
 
     def test_full_bounds_and_clipping(self, intens3):
         ledger = EpsilonLedger.uniform(1e-4, 3)
@@ -389,7 +449,7 @@ class TestBounds2Decoy:
         intens = Intensities(values=(0.5, 0.1, 0.0), probabilities=(0.6, 0.25, 0.15))
         ledger = EpsilonLedger.uniform(1e-4, 3)
         stats = make_stats("Z", (6000, 500, 30), (30, 3, 15))
-        value = vacuum_lower_2decoy(stats, intens, ledger)
+        value = vacuum_lower(stats, intens, ledger)
         assert 0.0 <= value <= stats.block_size
 
 
@@ -400,7 +460,7 @@ class TestDecoyBounds:
     CASES = {
         "1decoy": (
             bounds_1decoy,
-            Intensities(values=(0.5, 0.1), probabilities=(0.7, 0.3)),
+            INTENSITIES["1decoy"],
             {
                 "regular": ((7000, 3000), (40, 20), (1400, 600), (9, 4)),
                 "empty_block": ((7000, 3000), (40, 20), (0, 0), (0, 0)),
@@ -409,7 +469,7 @@ class TestDecoyBounds:
         ),
         "2decoy": (
             bounds_2decoy,
-            Intensities(values=(0.6, 0.2, 0.05), probabilities=(0.6, 0.25, 0.15)),
+            INTENSITIES["2decoy"],
             {
                 "regular": (
                     (600_000, 250_000, 150_000), (3000, 1200, 800),
@@ -420,6 +480,11 @@ class TestDecoyBounds:
             },
         ),
     }
+
+    BOUND_FIELDS = (
+        "s0_lower", "s0_upper", "s1_lower", "x_s0_upper", "x_s1_lower", "v1_upper",
+        "lambda_upper",
+    )
 
     @pytest.mark.parametrize("case", ["regular", "empty_block", "no_estimate"])
     @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
@@ -439,3 +504,95 @@ class TestDecoyBounds:
             assert got.lambda_upper is None
             expected = "empty block" if case == "empty_block" else "no single-photon estimate"
             assert expected in got.abort_reason
+
+    @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+    def test_budgets_cover_reported_bounds(self, mode):
+        # One budget per reported bound, and none for a bound never reported.
+        _, intens, cases = self.CASES[mode]
+        det_z, err_z, det_x, err_x = cases["regular"]
+        ledger = nonuniform_ledger(philox(3), len(intens.values))
+        bounds = decoy_bounds(
+            make_stats("Z", det_z, err_z), make_stats("X", det_x, err_x), intens, ledger
+        )
+        reported = {name for name in self.BOUND_FIELDS if getattr(bounds, name) is not None}
+        assert set(bounds.budgets) == reported
+
+
+def counts_strategy(n_levels):
+    """Per-intensity (detections, errors) of one basis; blocks may be empty."""
+    level = st.integers(0, 10**6).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, d))
+    )
+    return st.lists(level, min_size=n_levels, max_size=n_levels)
+
+
+ledgers = st.floats(1e-12, 0.5)
+
+
+def ledger_strategy(n_levels):
+    per_level = st.lists(ledgers, min_size=n_levels, max_size=n_levels).map(tuple)
+    group = st.fixed_dictionaries({"Z": per_level, "X": per_level})
+    return st.builds(
+        EpsilonLedger,
+        n_minus=group, n_plus=group, c_minus=group, c_plus=group,
+        v_plus=st.fixed_dictionaries({"Z": ledgers, "X": ledgers}),
+    )
+
+
+def stats_from(basis, counts):
+    return make_stats(basis, [d for d, _ in counts], [c for _, c in counts])
+
+
+class TestBoundProperties:
+    """Hypothesis checks of what the bound docstrings claim, through
+    ``decoy_bounds`` in both modes, with random counts and non-uniform
+    ledgers."""
+
+    @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+    def test_ranges(self, mode):
+        intens = INTENSITIES[mode]
+        n = len(intens.values)
+
+        @settings(max_examples=200, deadline=None)
+        @given(counts_strategy(n), counts_strategy(n), ledger_strategy(n))
+        def check(z_counts, x_counts, ledger):
+            stats_z, stats_x = stats_from("Z", z_counts), stats_from("X", x_counts)
+            bounds = decoy_bounds(stats_z, stats_x, intens, ledger)
+            for name, block in (
+                ("s0_lower", stats_z), ("s0_upper", stats_z), ("s1_lower", stats_z),
+                ("x_s0_upper", stats_x), ("x_s1_lower", stats_x), ("v1_upper", stats_x),
+            ):
+                value = getattr(bounds, name)
+                assert value is None or 0.0 <= value <= block.block_size, name
+            if bounds.lambda_upper is None:
+                assert bounds.abort_reason is not None
+            else:
+                assert 0.0 <= bounds.lambda_upper <= 1.0
+
+        check()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts_strategy(2), ledger_strategy(2),
+        st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+    )
+    def test_single_lower_1decoy_nonincreasing_in_vacuum_upper(self, counts, ledger, s, t):
+        intens = INTENSITIES["1decoy"]
+        stats = stats_from("Z", counts)
+        lo, hi = sorted((s, t))
+        assert single_lower_1decoy(stats, intens, ledger, hi) <= single_lower_1decoy(
+            stats, intens, ledger, lo
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts_strategy(3), ledger_strategy(3),
+        st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+    )
+    def test_single_lower_2decoy_nondecreasing_in_vacuum_lower(self, counts, ledger, s, t):
+        intens = INTENSITIES["2decoy"]
+        stats = stats_from("Z", counts)
+        lo, hi = sorted((s, t))
+        assert single_lower_2decoy(stats, intens, ledger, lo) <= single_lower_2decoy(
+            stats, intens, ledger, hi
+        )

@@ -13,9 +13,8 @@ from decoybb84.keylength import (
     check_term_breakdown,
     correctness_hash_length,
     gamma_for_acceptance,
+    key_length_for_mode,
     key_length_general_1decoy,
-    key_length_simplified_1decoy,
-    key_length_simplified_2decoy,
     leak_ec_estimate,
 )
 
@@ -89,7 +88,7 @@ class TestWorkedExample:
     # l = floor(714.231815795743) = 714 for the three-intensity form.
 
     def test_simplified_1decoy(self):
-        report = key_length_simplified_1decoy(WORKED_Q, 1e-15, 1e-9, 200.0, gamma=0.0)
+        report = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "1decoy", gamma=0.0)
         assert report.length == 714
         assert report.pre_floor == pytest.approx(714.954104778310, abs=1e-9)
         assert -report.terms["correctness"] == pytest.approx(50.8289214233104, abs=1e-9)
@@ -97,20 +96,20 @@ class TestWorkedExample:
         assert check_term_breakdown(report)
 
     def test_simplified_2decoy(self):
-        report = key_length_simplified_2decoy(WORKED_Q, 1e-15, 1e-9, 200.0, gamma=0.0)
+        report = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "2decoy", gamma=0.0)
         assert report.length == 714
         assert report.pre_floor == pytest.approx(714.231815795743, abs=1e-9)
         assert -report.terms["secrecy"] == pytest.approx(134.939262780946, abs=1e-9)
 
     def test_secrecy_term_gap_is_budget_ratio(self):
-        r1 = key_length_simplified_1decoy(WORKED_Q, 1e-15, 1e-9, 200.0, gamma=0.0)
-        r2 = key_length_simplified_2decoy(WORKED_Q, 1e-15, 1e-9, 200.0, gamma=0.0)
+        r1 = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "1decoy", gamma=0.0)
+        r2 = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "2decoy", gamma=0.0)
         assert r1.pre_floor - r2.pre_floor == pytest.approx(4 * math.log2(17 / 15), abs=1e-9)
 
     def test_general_matches_simplified_on_worked_example(self):
         budget = EpsilonBudget.simplified(1e-15, 1e-9, "1decoy")
         general = key_length_general_1decoy(WORKED_Q, budget, 200.0, gamma=0.0)
-        simplified = key_length_simplified_1decoy(WORKED_Q, 1e-15, 1e-9, 200.0, gamma=0.0)
+        simplified = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "1decoy", gamma=0.0)
         assert general.pre_floor == pytest.approx(simplified.pre_floor, abs=1e-9)
         assert general.length == simplified.length == 714
 
@@ -122,8 +121,8 @@ class TestBudgetConstants:
         rng = philox(3)
         for _ in range(50):
             esp = 10.0 ** rng.uniform(-12, -6)
-            r1 = key_length_simplified_1decoy(WORKED_Q, 1e-12, esp, 0.0, gamma=0.0)
-            r2 = key_length_simplified_2decoy(WORKED_Q, 1e-12, esp, 0.0, gamma=0.0)
+            r1 = key_length_for_mode(WORKED_Q, 1e-12, esp, 0.0, "1decoy", gamma=0.0)
+            r2 = key_length_for_mode(WORKED_Q, 1e-12, esp, 0.0, "2decoy", gamma=0.0)
             assert -r1.terms["secrecy"] == pytest.approx(
                 4 * math.log2(15 / (esp * 2**0.25)), rel=1e-12
             )
@@ -135,7 +134,7 @@ class TestBudgetConstants:
 
     def test_correctness_term_symbolically(self):
         for eps_cor in (1e-15, 1e-10, 2.0**-20):
-            r = key_length_simplified_1decoy(WORKED_Q, eps_cor, 1e-9, 0.0, gamma=0.0)
+            r = key_length_for_mode(WORKED_Q, eps_cor, 1e-9, 0.0, "1decoy", gamma=0.0)
             assert -r.terms["correctness"] == pytest.approx(math.log2(2 / eps_cor), rel=1e-12)
 
 
@@ -160,7 +159,7 @@ class TestGeneralSimplifiedEquality:
             leak = float(rng.uniform(0, q.n_z))
             budget = EpsilonBudget.simplified(eps_cor, esp, "1decoy")
             general = key_length_general_1decoy(q, budget, leak)
-            simplified = key_length_simplified_1decoy(q, eps_cor, esp, leak)
+            simplified = key_length_for_mode(q, eps_cor, esp, leak, "1decoy")
             worst = max(worst, abs(general.pre_floor - simplified.pre_floor))
             assert general.gamma == simplified.gamma
         assert worst <= 1e-9
@@ -169,17 +168,17 @@ class TestGeneralSimplifiedEquality:
 class TestKeyLengthBehavior:
     def test_zero_thresholds_give_zero_length(self):
         q = AcceptanceSet(n_z=10**4, n_x=10**4, s_z0=0, s_z1=0, s_x1=0, lambda_u=0.1)
-        report = key_length_simplified_1decoy(q, 1e-15, 1e-9, 0.0)
+        report = key_length_for_mode(q, 1e-15, 1e-9, 0.0, "1decoy")
         assert report.length == 0
         assert not report.secure
 
     def test_truncated_entropy_kills_single_photon_term(self):
         q = AcceptanceSet(n_z=10**4, n_x=10**4, s_z0=100, s_z1=1000, s_x1=1000, lambda_u=0.4)
-        report = key_length_simplified_1decoy(q, 1e-15, 1e-9, 0.0, gamma=0.2)
+        report = key_length_for_mode(q, 1e-15, 1e-9, 0.0, "1decoy", gamma=0.2)
         assert report.terms["single_photon"] == 0.0
 
     def test_negative_pre_floor_clips_to_zero_with_flag(self):
-        report = key_length_simplified_1decoy(WORKED_Q, 1e-15, 1e-9, 5000.0, gamma=0.0)
+        report = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 5000.0, "1decoy", gamma=0.0)
         assert report.length == 0
         assert report.pre_floor < 0
         assert not report.secure
@@ -197,8 +196,8 @@ class TestKeyLengthBehavior:
             eps_cor = 10.0 ** rng.uniform(-16, -4)
             esp = 10.0 ** rng.uniform(-12, -6)
             leak = float(rng.uniform(0, q.n_z / 2))
-            r1 = key_length_simplified_1decoy(q, eps_cor, esp, leak)
-            r2 = key_length_simplified_2decoy(q, eps_cor, esp, leak)
+            r1 = key_length_for_mode(q, eps_cor, esp, leak, "1decoy")
+            r2 = key_length_for_mode(q, eps_cor, esp, leak, "2decoy")
             assert r2.pre_floor <= r1.pre_floor + 1e-12
             assert r2.length <= r1.length
 
@@ -208,12 +207,12 @@ class TestKeyLengthBehavior:
         lengths = []
         for s_z1 in (1000, 2000, 4000):
             q = AcceptanceSet(s_z0=50, s_z1=s_z1, lambda_u=0.05, **base)
-            lengths.append(key_length_simplified_1decoy(q, eps_cor, esp, leak).pre_floor)
+            lengths.append(key_length_for_mode(q, eps_cor, esp, leak, "1decoy").pre_floor)
         assert lengths == sorted(lengths)
         lengths = []
         for lam in (0.01, 0.05, 0.1, 0.3):
             q = AcceptanceSet(s_z0=50, s_z1=2000, lambda_u=lam, **base)
-            lengths.append(key_length_simplified_1decoy(q, eps_cor, esp, leak).pre_floor)
+            lengths.append(key_length_for_mode(q, eps_cor, esp, leak, "1decoy").pre_floor)
         assert lengths == sorted(lengths, reverse=True)
 
 

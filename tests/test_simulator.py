@@ -111,15 +111,6 @@ class TestGenerateRounds:
         sigma = math.sqrt(0.25 / n_det)
         assert abs(err - 0.5) < 3 * sigma
 
-    def test_round_record_view(self):
-        params = sim_params()
-        rounds = generate_rounds(params, ChannelModel(transmittance=0.5), 100, philox(5))
-        record = rounds[0]
-        assert record.photon_number >= 0
-        assert record.intensity_idx in (0, 1)
-        if not record.detected:
-            assert record.bob_bit is None
-
     def test_policy_validation(self):
         params = sim_params()
         with pytest.raises(ConfigError):

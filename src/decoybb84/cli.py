@@ -84,7 +84,6 @@ def cmd_keylength(cfg: Config, args: argparse.Namespace) -> int:
 def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
     params = _protocol_params(cfg, args)
     channel = cfg.channel()
-    policy = cfg.get_str("simulate.double_click_policy", "random")
     trials = args.trials or cfg.get_int("run.trials", 10)
     seed = args.seed if args.seed is not None else cfg.get_int("run.seed", 0)
     rng = _rng(seed)
@@ -97,7 +96,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
     record_lines: List[str] = []
     for seed_seq in seeds:
         trial_rng = np.random.Generator(np.random.Philox(seed_seq))
-        rounds = generate_rounds(params, channel, params.num_signals, trial_rng, policy)
+        rounds = generate_rounds(params, channel, params.num_signals, trial_rng)
         record = run_protocol(rounds, params, trial_rng)
         truth = simulator.attach_oracle(record, rounds, params)
         if truth is not None and record.bounds is not None:
@@ -139,10 +138,9 @@ def cmd_validate(cfg: Config, args: argparse.Namespace) -> int:
         ledger = EpsilonLedger.uniform(cfg.get_float("ledger.eps"), len(params.intensities.values))
     else:
         ledger = params.ledger()
-    policy = cfg.get_str("simulate.double_click_policy", "random")
     report = validate_bounds(
         params, channel, trials, ledger, _rng(seed),
-        double_click_policy=policy, workers=args.workers or cfg.get_int("run.workers", 1),
+        workers=args.workers or cfg.get_int("run.workers", 1),
     )
     text = report.to_table() + "\n"
     print(text, end="")

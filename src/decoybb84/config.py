@@ -8,6 +8,7 @@ identity.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from .decoy import Intensities
@@ -60,9 +61,12 @@ class Config:
                 raise ConfigError(f"missing config key {key!r}")
             return default
         try:
-            return float(self.values[key])
+            value = float(self.values[key])
         except ValueError as exc:
             raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: expected a finite number, got {self.values[key]!r}")
+        return value
 
     def get_int(self, key: str, default: Optional[int] = None) -> int:
         if key not in self.values:
@@ -150,6 +154,7 @@ class Config:
             detector_efficiency=self.get_float("channel.eta_det", 1.0),
             dark_count_prob=self.get_float("channel.dark_count_prob", 0.0),
             misalignment=self.get_float("channel.misalignment", 0.0),
+            double_click_policy=self.get_str("simulate.double_click_policy", "random"),
         )
 
     def optimizer_settings(self, mode: str) -> OptimizerSettings:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 from .errors import ConfigError, EstimateUnavailable
@@ -64,8 +65,10 @@ class Intensities:
     def pairs(self) -> Tuple[Tuple[float, float], ...]:
         return tuple(zip(self.probabilities, self.values))
 
-    def tau(self, m: int) -> float:
-        return tau_m(self.pairs(), m)
+    @cached_property
+    def tau(self) -> Tuple[float, float]:
+        """(tau_0, tau_1), computed once per instance."""
+        return tau_m(self.pairs(), 0), tau_m(self.pairs(), 1)
 
 
 @dataclass(frozen=True)
@@ -246,7 +249,7 @@ def vacuum_lower(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) 
     p_a, p_b = intens.probabilities[a], intens.probabilities[b]
     _, na_plus = _n_bounds(stats, ledger, a)
     nb_minus, _ = _n_bounds(stats, ledger, b)
-    tau0 = intens.tau(0)
+    tau0 = intens.tau[0]
     raw = tau0 / (mu_a - mu_b) * (
         mu_a * math.exp(mu_b) * nb_minus / p_b - mu_b * math.exp(mu_a) * na_plus / p_a
     )
@@ -275,7 +278,7 @@ def vacuum_upper_1decoy(
     if intens.mode != "1decoy":
         raise ConfigError("vacuum_upper_1decoy needs exactly two intensities")
     _require_post_ec(stats, "vacuum upper bound")
-    tau0 = intens.tau(0)
+    tau0 = intens.tau[0]
     delta_v = _delta(stats.block_size, ledger.v_plus[stats.basis])
 
     def bound_for(idx: int) -> float:
@@ -311,8 +314,7 @@ def single_lower_1decoy(
     p1, p2 = intens.probabilities
     _, n1_plus = _n_bounds(stats, ledger, 0)
     n2_minus, _ = _n_bounds(stats, ledger, 1)
-    tau0 = intens.tau(0)
-    tau1 = intens.tau(1)
+    tau0, tau1 = intens.tau
     raw = mu1 * tau1 / (mu2 * (mu1 - mu2)) * (
         math.exp(mu2) * n2_minus / p2
         - (mu2**2 / mu1**2) * math.exp(mu1) * n1_plus / p1
@@ -345,8 +347,7 @@ def single_lower_2decoy(
     _, n1_plus = _n_bounds(stats, ledger, 0)
     n2_minus, _ = _n_bounds(stats, ledger, 1)
     _, n3_plus = _n_bounds(stats, ledger, 2)
-    tau0 = intens.tau(0)
-    tau1 = intens.tau(1)
+    tau0, tau1 = intens.tau
     denom = mu1 * (mu2 - mu3) - (mu2**2 - mu3**2)
     raw = mu1 * tau1 / denom * (
         math.exp(mu2) * n2_minus / p2
@@ -374,7 +375,7 @@ def error_upper(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -
     a, b = _weakest_pair(intens)
     mu_a, mu_b = intens.values[a], intens.values[b]
     p_a, p_b = intens.probabilities[a], intens.probabilities[b]
-    tau1 = intens.tau(1)
+    tau1 = intens.tau[1]
     raw = tau1 / (mu_a - mu_b) * (
         math.exp(mu_a) * _c_plus(stats, ledger, a) / p_a
         - math.exp(mu_b) * _c_minus(stats, ledger, b) / p_b

@@ -123,8 +123,7 @@ def tau_m(intensities: IntensityList, m: int) -> Probability:
 def intensity_posterior(intensities: IntensityList, m: int, k: Intensity) -> Probability:
     r"""Probability that intensity ``k`` was chosen given an ``m``-photon emission:
     :math:`p_{k|m} = p_k e^{-k} k^m / (m!\, \tau_m)`."""
-    _check_intensity_probs(intensities)
-    tau = math.fsum(p * poisson_pmf(kk, m) for p, kk in intensities)
+    tau = tau_m(intensities, m)
     if tau == 0.0:
         raise ValueError(f"posterior undefined: tau_{m} = 0 for these intensities")
     for p, kk in intensities:

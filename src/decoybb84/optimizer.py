@@ -107,22 +107,19 @@ class OptimizerSettings:
 def expected_stats(params: ProtocolParams, channel: ChannelModel) -> ObservedStats:
     """Deterministic expected sifted statistics: per basis b and intensity k,
     detections N p_b^A p_b^B p_k P[detect|k] and errors with P[error and
-    detect|k]. Linear in the number of signals."""
+    detect|k] from the channel's detector law, where no photon arrives with
+    probability exp(-mu eta). Linear in the number of signals."""
     n = params.num_signals
-    intens = params.intensities
+    probs = params.intensities.probabilities
+    darks = [math.exp(-mu * channel.survival) for mu in params.intensities.values]
+    laws = [channel.detection_and_error(1.0 - dark, dark) for dark in darks]
     out = {}
     for basis, p_basis in (
         ("Z", params.p_z_alice * params.p_z_bob),
         ("X", (1.0 - params.p_z_alice) * (1.0 - params.p_z_bob)),
     ):
-        detections = tuple(
-            n * p_basis * p_k * channel.detection_prob(mu)
-            for p_k, mu in zip(intens.probabilities, intens.values)
-        )
-        errors = tuple(
-            n * p_basis * p_k * channel.error_and_detection_prob(mu)
-            for p_k, mu in zip(intens.probabilities, intens.values)
-        )
+        detections = tuple(n * p_basis * p_k * det for p_k, (det, _) in zip(probs, laws))
+        errors = tuple(n * p_basis * p_k * err for p_k, (_, err) in zip(probs, laws))
         out[basis] = BasisStats(
             basis=basis,
             block_size=math.fsum(detections),

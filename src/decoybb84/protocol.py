@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -301,11 +301,8 @@ class RunRecord:
         return json.dumps(payload, sort_keys=True)
 
 
-RoundSource = Union[object, Callable[[ProtocolParams, np.random.Generator], object]]
-
-
 def run_protocol(
-    round_source: RoundSource,
+    rounds,
     params: ProtocolParams,
     rng: np.random.Generator,
 ) -> RunRecord:
@@ -321,7 +318,6 @@ def run_protocol(
     length = report.length
     record = RunRecord(key_length=length, stages=["parameter_agreement"])
 
-    rounds = round_source(params, rng) if callable(round_source) else round_source
     sifted = sift(rounds, params, rng)
     record.stages.append("sifting")
     if sifted.aborted:

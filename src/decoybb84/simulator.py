@@ -42,47 +42,46 @@ _VIOLATION_TOL = 1e-9
 @dataclass(frozen=True)
 class ChannelModel:
     """Honest lossy channel with parametric noise, identical for both bases
-    and both detectors (basis-independent losses by construction)."""
+    and both detectors (basis-independent losses by construction), and the
+    one owner of the detector law. A double click gets a random bit under the
+    'random' policy (the proof's assumption); 'discard' drops it, a negative
+    control that breaks basis independence."""
 
     transmittance: float
     detector_efficiency: float = 1.0
     dark_count_prob: float = 0.0
     misalignment: float = 0.0
+    double_click_policy: str = "random"
 
     def __post_init__(self) -> None:
         for name in ("transmittance", "detector_efficiency", "dark_count_prob", "misalignment"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        if self.double_click_policy not in ("random", "discard"):
+            raise ConfigError(f"unknown double-click policy {self.double_click_policy!r}")
 
     @property
     def survival(self) -> float:
         """Per-photon survival probability (channel times detector)."""
         return self.transmittance * self.detector_efficiency
 
-    def detection_prob(self, mu: float) -> float:
-        """P[any click] for a pulse of mean photon number mu:
-        1 - (1 - p_dc)^2 exp(-mu * survival)."""
-        return 1.0 - (1.0 - self.dark_count_prob) ** 2 * math.exp(-mu * self.survival)
-
-    def detection_prob_given_m(self, m: int) -> float:
-        """P[any click] given m emitted photons."""
-        no_signal = (1.0 - self.survival) ** m
-        return 1.0 - (1.0 - self.dark_count_prob) ** 2 * no_signal
-
-    def error_and_detection_prob(self, mu: float) -> float:
-        """P[click and wrong bit] for a matched-basis pulse of mean mu."""
+    def detection_and_error(self, arrived, dark):
+        """Matched-basis (P[detect], P[detect and wrong bit]) when at least
+        one photon reaches Bob with probability ``arrived`` and none with
+        probability ``dark``: generate_rounds' detector algebra, elementwise
+        on floats and numpy arrays."""
         p = self.dark_count_prob
-        no_signal = math.exp(-mu * self.survival)
-        dark_any = 1.0 - (1.0 - p) ** 2
-        return no_signal * dark_any * 0.5 + (1.0 - no_signal) * ((1.0 - p) * self.misalignment + p * 0.5)
-
-    def error_and_detection_prob_given_m(self, m: int) -> float:
-        """P[click and wrong bit] given m emitted photons (matched bases)."""
-        p = self.dark_count_prob
-        no_signal = (1.0 - self.survival) ** m
-        dark_any = 1.0 - (1.0 - p) ** 2
-        return no_signal * dark_any * 0.5 + (1.0 - no_signal) * ((1.0 - p) * self.misalignment + p * 0.5)
+        e = self.misalignment
+        if self.double_click_policy == "random":
+            dark_any = 1.0 - (1.0 - p) ** 2
+            det_sig, err_sig = 1.0, (1.0 - p) * e + 0.5 * p
+            det_dark, err_dark = dark_any, 0.5 * dark_any
+        else:
+            # Only single clicks count: the other detector must stay dark.
+            det_sig, err_sig = 1.0 - p, (1.0 - p) * e
+            det_dark, err_dark = 2.0 * p * (1.0 - p), p * (1.0 - p)
+        return arrived * det_sig + dark * det_dark, arrived * err_sig + dark * err_dark
 
 
 @dataclass
@@ -107,7 +106,6 @@ def generate_rounds(
     channel: ChannelModel,
     n: int,
     rng: np.random.Generator,
-    double_click_policy: str = "random",
 ) -> Rounds:
     """Vectorized generation of n rounds.
 
@@ -115,11 +113,9 @@ def generate_rounds(
     of the chosen intensity, per-photon survival (binomial thinning),
     independent dark counts per detector. Click processing: no click -> no
     detection; both detectors -> random bit with the double-click flag set
-    (or, under the 'discard' negative-control policy, no detection); single
-    click -> bit flipped with the misalignment probability.
+    (or, under the channel's 'discard' negative-control policy, no
+    detection); single click -> bit flipped with the misalignment probability.
     """
-    if double_click_policy not in ("random", "discard"):
-        raise ConfigError(f"unknown double-click policy {double_click_policy!r}")
     probs = np.asarray(params.intensities.probabilities)
     mus = np.asarray(params.intensities.values)
 
@@ -160,7 +156,7 @@ def generate_rounds(
     n_double = int(double.sum())
     if n_double:
         bob_bits[double] = rng.integers(0, 2, size=n_double, dtype=np.uint8)
-    if double_click_policy == "discard":
+    if channel.double_click_policy == "discard":
         detected = detected & ~double
 
     return Rounds(
@@ -249,7 +245,6 @@ def simulate_rounds(
     channel: ChannelModel,
     n: int,
     rng: np.random.Generator,
-    double_click_policy: str = "random",
 ) -> Tuple[Rounds, Optional[OracleTruth], Optional[ObservedStats]]:
     """Generate rounds, sift/sample blocks and tally block-aligned truth.
 
@@ -257,30 +252,13 @@ def simulate_rounds(
     sifting aborts. The observed error counts are the true ones (ideal
     reconciliation), flagged as post-verification.
     """
-    rounds = generate_rounds(params, channel, n, rng, double_click_policy)
+    rounds = generate_rounds(params, channel, n, rng)
     sifted = sift(rounds, params, rng)
     if sifted.aborted:
         return rounds, None, None
     n_levels = len(params.intensities.values)
     truth = tally_truth(rounds, sifted.z_block.indices, sifted.x_block.indices, n_levels)
     return rounds, truth, counted_stats(sifted, sifted.z_block.alice_bits)
-
-
-def _click_outcomes(
-    channel: ChannelModel, double_click_policy: str
-) -> Tuple[float, float, float, float]:
-    """Matched-basis (detection, error-and-detection) probabilities when at
-    least one photon reaches Bob, then when none does, under the given
-    double-click policy; the same detector algebra as generate_rounds."""
-    p = channel.dark_count_prob
-    e = channel.misalignment
-    if double_click_policy == "random":
-        dark_any = 1.0 - (1.0 - p) ** 2
-        return 1.0, (1.0 - p) * e + 0.5 * p, dark_any, 0.5 * dark_any
-    if double_click_policy == "discard":
-        # Only single clicks count: the other detector must stay dark.
-        return 1.0 - p, (1.0 - p) * e, 2.0 * p * (1.0 - p), p * (1.0 - p)
-    raise ConfigError(f"unknown double-click policy {double_click_policy!r}")
 
 
 def _poisson_tail(lam: float, m_min: int) -> float:
@@ -293,11 +271,7 @@ def _poisson_tail(lam: float, m_min: int) -> float:
     return math.fsum(poisson_pmf(lam, m) for m in range(m_min, m_hi + 1))
 
 
-def cell_probabilities(
-    params: ProtocolParams,
-    channel: ChannelModel,
-    double_click_policy: str = "random",
-) -> np.ndarray:
+def cell_probabilities(params: ProtocolParams, channel: ChannelModel) -> np.ndarray:
     """Closed-form probability that one round is sifted into a cell.
 
     Axis 0 is the basis (Z, X), axis 1 the intensity, axis 2 the photon
@@ -307,7 +281,6 @@ def cell_probabilities(
     The cells of a basis sum to its sifting probability; the rest of the
     probability is 'not sifted'.
     """
-    det_sig, err_sig, det_dark, err_dark = _click_outcomes(channel, double_click_policy)
     m_max = MAX_PHOTON_NUMBER
     eta = channel.survival
     intens = params.intensities
@@ -318,9 +291,8 @@ def cell_probabilities(
         dark = [total[m] * (1.0 - eta) ** m for m in range(m_max)]
         dark.append(math.exp(-mu * eta) * _poisson_tail(mu * (1.0 - eta), m_max))
         total, dark = np.array(total), np.array(dark)
-        signal = np.maximum(total - dark, 0.0)
-        detected = p_k * (signal * det_sig + dark * det_dark)
-        errors = p_k * (signal * err_sig + dark * err_dark)
+        detected, errors = channel.detection_and_error(np.maximum(total - dark, 0.0), dark)
+        detected, errors = p_k * detected, p_k * errors
         cells[:, k_idx, :, 1] = errors
         cells[:, k_idx, :, 0] = np.maximum(detected - errors, 0.0)
     cells[0] *= params.p_z_alice * params.p_z_bob
@@ -520,7 +492,6 @@ def validate_bounds(
     trials: int,
     ledger: EpsilonLedger,
     rng: np.random.Generator,
-    double_click_policy: str = "random",
     workers: int = 1,
 ) -> CoverageReport:
     """Empirical coverage of every decoy bound over independent simulated
@@ -530,7 +501,7 @@ def validate_bounds(
     count."""
     if trials < 1:
         raise ConfigError("need at least one trial")
-    cells = cell_probabilities(params, channel, double_click_policy)
+    cells = cell_probabilities(params, channel)
     base = int(rng.integers(0, 2**63 - 1))
     seeds = np.random.SeedSequence(base).spawn(trials)
 

@@ -293,8 +293,9 @@ def test_criterion_8_vacuum_error_symmetry():
     _, _, z_random = detection_rates_by_basis(
         generate_rounds(asym, bright, asym.num_signals, philox(809))
     )
+    discarding = replace(bright, double_click_policy="discard")
     _, _, z_discard = detection_rates_by_basis(
-        generate_rounds(asym, bright, asym.num_signals, philox(809), "discard")
+        generate_rounds(asym, discarding, asym.num_signals, philox(809))
     )
     control_ok = abs(z_random) < 3.0 and abs(z_discard) > 5.0
     report(

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoybb84 import cli
 from decoybb84.config import Config, parse_config, serialize_config
@@ -87,6 +89,30 @@ class TestConfigFormat:
         with pytest.raises(Exception):
             cfg.channel()
 
+    def test_double_click_policy_is_a_channel_field(self):
+        assert Config.from_text("channel.eta = 0.5\n").channel().double_click_policy == "random"
+        cfg = Config.from_text("channel.eta = 0.5\nsimulate.double_click_policy = discard\n")
+        assert cfg.channel().double_click_policy == "discard"
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN", "Infinity"])
+    def test_non_finite_number_rejected(self, value):
+        cfg = Config.from_text(f"channel.eta = {value}\n")
+        with pytest.raises(ConfigError, match="channel.eta"):
+            cfg.get_float("channel.eta")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.from_regex(r"[a-z_][a-z0-9_]{0,7}(\.[a-z0-9_]{1,8}){1,2}", fullmatch=True),
+        st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                              blacklist_characters="#"), max_size=20).map(str.strip),
+        max_size=8,
+    ))
+    def test_round_trip_property(self, values):
+        # parse -> serialize -> parse is the identity on every parsed mapping.
+        text = serialize_config(values)
+        assert parse_config(text) == values
+        assert serialize_config(parse_config(text)) == text
+
 
 class TestErrorCorrectionDirection:
     # Reconciliation is forward by construction: the config key is accepted
@@ -141,6 +167,22 @@ class TestKeylengthCommand:
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["keylength", "--config", "/nonexistent.cfg"]) == cli.EXIT_ERROR
+
+    @pytest.mark.parametrize("key, value", [
+        ("protocol.leak_ec", "inf"),
+        ("protocol.leak_ec", "nan"),
+        ("keylength.gamma_override", "nan"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
+        # A non-finite number fails at parsing with the key named, not deep
+        # in the key-length arithmetic.
+        lines = [l for l in KEYLENGTH_CONFIG.splitlines() if not l.startswith(key)]
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert cli.main(["keylength", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
+        assert "Traceback" not in err
 
 
 NOISELESS = ChannelModel(transmittance=0.9, dark_count_prob=0.0, misalignment=0.0)
@@ -224,6 +266,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "coverage report" in out
         assert "joint" in out
+
+    def test_unknown_policy_exits_1(self, tmp_path, capsys, simulate_config_text):
+        path = tmp_path / "drop.cfg"
+        path.write_text(simulate_config_text + "simulate.double_click_policy = drop\n")
+        code = cli.main(["validate", "--config", str(path), "--trials", "20", "--seed", "3"])
+        assert code == cli.EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "double-click policy" in captured.err
+        assert "coverage report" not in captured.out
 
 
 OPTIMIZE_CONFIG = """

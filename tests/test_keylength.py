@@ -2,9 +2,12 @@
 oracle), general/simplified equality and monotonicity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from decoybb84.errors import ConfigError, EstimateUnavailable, NoAdmissibleKey
 from decoybb84.keylength import (
@@ -214,6 +217,56 @@ class TestKeyLengthBehavior:
             q = AcceptanceSet(s_z0=50, s_z1=2000, lambda_u=lam, **base)
             lengths.append(key_length_for_mode(q, eps_cor, esp, leak, "1decoy").pre_floor)
         assert lengths == sorted(lengths, reverse=True)
+
+
+def _acceptance(n_z, n_x, f_s0, f_s1, f_sx1, f_lam):
+    s_z0 = f_s0 * n_z
+    return AcceptanceSet(
+        n_z=n_z, n_x=n_x, s_z0=s_z0, s_z1=f_s1 * (n_z - s_z0), s_x1=f_sx1 * n_x,
+        lambda_u=0.5 * f_lam,
+    )
+
+
+# Largest value each threshold may take with the others held fixed.
+_THRESHOLD_LIMITS = {
+    "s_z0": lambda q: q.n_z - q.s_z1,
+    "s_z1": lambda q: q.n_z - q.s_z0,
+    "s_x1": lambda q: float(q.n_x),
+    "lambda_u": lambda q: 0.5,
+}
+_fraction = st.floats(0.0, 1.0)
+
+
+class TestKeyLengthMonotonicity:
+    """A larger vacuum or single-photon threshold never shortens the key, a
+    larger QBER threshold never lengthens it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 10**14), st.integers(1, 10**14),
+        st.tuples(_fraction, _fraction, _fraction, _fraction),
+        st.sampled_from(sorted(_THRESHOLD_LIMITS)), _fraction,
+        _fraction, st.floats(-15.0, -3.0), st.floats(-12.0, -2.0),
+        st.sampled_from(["1decoy", "2decoy"]),
+    )
+    def test_monotone_in_each_threshold(self, n_z, n_x, fractions, name, step,
+                                        leak_frac, log_eps_cor, log_eps_sec, mode):
+        try:
+            q = _acceptance(n_z, n_x, *fractions)
+            value = getattr(q, name)
+            moved = replace(q, **{name: value + step * (_THRESHOLD_LIMITS[name](q) - value)})
+        except ConfigError:
+            assume(False)  # float rounding pushed a threshold past its block
+        args = (10.0**log_eps_cor, 10.0**log_eps_sec, leak_frac * n_z, mode)
+        try:
+            before = key_length_for_mode(q, *args)
+            after = key_length_for_mode(moved, *args)
+        except EstimateUnavailable:
+            assume(False)  # a single-photon count in (0, 1): length undefined
+        if name == "lambda_u":
+            assert after.length <= before.length
+        else:
+            assert after.length >= before.length
 
 
 class TestCorrectnessHashLength:

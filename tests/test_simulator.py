@@ -3,6 +3,7 @@ consistency, posterior equivalence, coverage machinery and the double-click
 policy controls."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from decoybb84.decoy import EpsilonLedger, Intensities
 from decoybb84.errors import ConfigError
 from decoybb84.keylength import AcceptanceSet
 from decoybb84.numerics import MAX_PHOTON_NUMBER, poisson_pmf
+from decoybb84.optimizer import expected_stats
 from decoybb84.protocol import ProtocolParams, sift
 from decoybb84.simulator import (
     ChannelModel,
@@ -44,6 +46,29 @@ def sim_params(mu=(0.5, 0.1), p_mu=(0.7, 0.3), p_z=0.5, p_z_alice=None,
     )
 
 
+def detection_closed_form(chan, no_signal):
+    """P[any click] when no photon arrives with probability no_signal,
+    under random double-click assignment: 1 - (1 - p_dc)^2 no_signal."""
+    return 1.0 - (1.0 - chan.dark_count_prob) ** 2 * no_signal
+
+
+def error_closed_form(chan, no_signal):
+    """P[click and wrong bit] (matched bases) under random double-click
+    assignment: a dark-only click is wrong half the time, a signal click with
+    the misalignment unless the other detector's dark count makes it a
+    double click."""
+    p = chan.dark_count_prob
+    dark_any = 1.0 - (1.0 - p) ** 2
+    return no_signal * dark_any * 0.5 + (1.0 - no_signal) * ((1.0 - p) * chan.misalignment + p * 0.5)
+
+
+def pulse_law(chan, mu):
+    """The channel's (P[detect], P[detect and error]) for a Poisson pulse of
+    mean mu: no photon arrives with probability exp(-mu eta)."""
+    no_signal = math.exp(-mu * chan.survival)
+    return chan.detection_and_error(1.0 - no_signal, no_signal)
+
+
 class TestChannelModel:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -51,15 +76,21 @@ class TestChannelModel:
         with pytest.raises(ConfigError):
             ChannelModel(transmittance=0.5, misalignment=-0.1)
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ConfigError, match="double-click policy"):
+            ChannelModel(transmittance=0.5, double_click_policy="drop")
+        for policy in ("random", "discard"):
+            assert ChannelModel(transmittance=0.5, double_click_policy=policy).double_click_policy == policy
+
     def test_closed_forms_at_limits(self):
         chan = ChannelModel(transmittance=1.0)
-        assert chan.detection_prob(0.0) == 0.0
-        assert chan.detection_prob_given_m(0) == 0.0
+        assert pulse_law(chan, 0.0)[0] == 0.0
+        # m = 0 photons: none arrives, with probability (1 - eta)^0 = 1.
+        assert chan.detection_and_error(0.0, 1.0)[0] == 0.0
         dark_only = ChannelModel(transmittance=0.0, dark_count_prob=0.01)
-        assert dark_only.detection_prob(5.0) == pytest.approx(1 - 0.99**2, rel=1e-12)
-        assert dark_only.error_and_detection_prob(5.0) == pytest.approx(
-            (1 - 0.99**2) / 2, rel=1e-12
-        )
+        det, err = pulse_law(dark_only, 5.0)
+        assert det == pytest.approx(1 - 0.99**2, rel=1e-12)
+        assert err == pytest.approx((1 - 0.99**2) / 2, rel=1e-12)
 
 
 class TestGenerateRounds:
@@ -79,7 +110,7 @@ class TestGenerateRounds:
             sel = rounds.intensity_idx == k_idx
             n_sel = int(sel.sum())
             rate = float(rounds.detected[sel].mean())
-            expected = chan.detection_prob(mu)
+            expected = detection_closed_form(chan, math.exp(-mu * chan.survival))
             sigma = math.sqrt(expected * (1 - expected) / n_sel)
             assert abs(rate - expected) < 3 * sigma
 
@@ -94,7 +125,7 @@ class TestGenerateRounds:
             err_rate = float(
                 (rounds.detected[sel] & (rounds.alice_bits[sel] != rounds.bob_bits[sel])).mean()
             )
-            expected = chan.error_and_detection_prob(mu)
+            expected = error_closed_form(chan, math.exp(-mu * chan.survival))
             sigma = math.sqrt(expected * (1 - expected) / n_sel)
             assert abs(err_rate - expected) < 4 * sigma
 
@@ -110,11 +141,6 @@ class TestGenerateRounds:
         err = float((rounds.alice_bits[matched] != rounds.bob_bits[matched]).mean())
         sigma = math.sqrt(0.25 / n_det)
         assert abs(err - 0.5) < 3 * sigma
-
-    def test_policy_validation(self):
-        params = sim_params()
-        with pytest.raises(ConfigError):
-            generate_rounds(params, ChannelModel(transmittance=0.5), 10, philox(6), "drop")
 
 
 class TestOracleTruth:
@@ -162,8 +188,8 @@ class TestBasisIndependence:
     def test_discarding_double_clicks_breaks_basis_independence(self):
         # Negative control for the mandatory random-assignment rule.
         params = sim_params(**self.ASYM)
-        chan = ChannelModel(transmittance=0.9, dark_count_prob=1e-4)
-        rounds = generate_rounds(params, chan, params.num_signals, philox(9), "discard")
+        chan = ChannelModel(transmittance=0.9, dark_count_prob=1e-4, double_click_policy="discard")
+        rounds = generate_rounds(params, chan, params.num_signals, philox(9))
         _, _, z_score = detection_rates_by_basis(rounds)
         assert abs(z_score) > 5.0
 
@@ -268,12 +294,6 @@ class TestValidateBounds:
         for entry in report.entries.values():
             assert entry.rate <= entry.tolerance(entry.budget if entry.budget else 0.5)
 
-    def test_unknown_policy_rejected_before_any_trial(self):
-        params = sim_params()
-        with pytest.raises(ConfigError):
-            validate_bounds(params, ChannelModel(transmittance=0.5), 1,
-                            EpsilonLedger.uniform(1e-2, 2), philox(17), double_click_policy="drop")
-
     def test_dead_channel_aborts_every_trial(self):
         params = sim_params()
         chan = ChannelModel(transmittance=0.0, dark_count_prob=0.0)
@@ -342,13 +362,14 @@ class TestCountSampler:
     @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
     def test_same_law_as_simulate_rounds(self, mode, policy):
         params = self.params(mode)
+        channel = replace(self.CHANNEL, double_click_policy=policy)
         n = params.num_signals
         rng = philox(700)
         reference = []
         for _ in range(300):
-            _, truth, observed = simulate_rounds(params, self.CHANNEL, n, rng, policy)
+            _, truth, observed = simulate_rounds(params, channel, n, rng)
             reference.append(_tally_vector(truth, observed))
-        cells = cell_probabilities(params, self.CHANNEL, policy)
+        cells = cell_probabilities(params, channel)
         counted = [_tally_vector(*sample_block_tallies(params, cells, rng)) for _ in range(3000)]
         a, b = np.array(reference), np.array(counted)
         mean_a, mean_b = a.mean(axis=0), b.mean(axis=0)
@@ -370,8 +391,9 @@ class TestCountSampler:
         # mu = 30 puts half the Poisson mass in the top photon-number bin.
         params = sim_params(mu=mu, p_mu=p_mu, p_z=0.6)
         n = 1_000_000
-        cells = cell_probabilities(params, self.CHANNEL, policy)
-        rounds = generate_rounds(params, self.CHANNEL, n, philox(701), policy)
+        channel = replace(self.CHANNEL, double_click_policy=policy)
+        cells = cell_probabilities(params, channel)
+        rounds = generate_rounds(params, channel, n, philox(701))
         sifted = (rounds.alice_basis == rounds.bob_basis) & rounds.detected
         index = np.ravel_multi_index(
             (
@@ -396,9 +418,9 @@ class TestCountSampler:
         assert chi2 < critical, f"chi2 = {chi2:.1f} on {df} df (critical {critical:.1f})"
 
     def test_cells_match_channel_algebra(self):
-        # Every bin, the top one included, against ChannelModel's per-photon-
-        # number closed forms summed term by term (mu = 40 has most of its
-        # Poisson mass above the top bin's threshold).
+        # Every bin, the top one included, against the per-photon-number
+        # closed forms summed term by term (mu = 40 has most of its Poisson
+        # mass above the top bin's threshold).
         params = sim_params(mu=(40.0, 0.5), p_mu=(0.3, 0.7), p_z=0.6)
         cells = cell_probabilities(params, self.CHANNEL)
         top = MAX_PHOTON_NUMBER
@@ -406,15 +428,64 @@ class TestCountSampler:
             for k_idx, (p_k, mu) in enumerate(zip(params.intensities.probabilities,
                                                     params.intensities.values)):
                 def term(m, fn):
-                    return p_basis * p_k * poisson_pmf(mu, m) * fn(m)
+                    no_signal = (1.0 - self.CHANNEL.survival) ** m
+                    return p_basis * p_k * poisson_pmf(mu, m) * fn(self.CHANNEL, no_signal)
 
-                det = [term(m, self.CHANNEL.detection_prob_given_m) for m in range(400)]
-                err = [term(m, self.CHANNEL.error_and_detection_prob_given_m) for m in range(400)]
+                det = [term(m, detection_closed_form) for m in range(400)]
+                err = [term(m, error_closed_form) for m in range(400)]
                 want_err = err[:top] + [math.fsum(err[top:])]
                 want_det = det[:top] + [math.fsum(det[top:])]
                 got = cells[basis, k_idx]
                 assert got[:, 1] == pytest.approx(want_err, rel=1e-12, abs=1e-300)
                 assert got.sum(axis=1) == pytest.approx(want_det, rel=1e-12, abs=1e-300)
+
+
+def random_law_case(rng, mode, policy):
+    """A random channel and operating point: survival down to 1e-5, dark
+    counts and misalignment off or on, and a strongest intensity up to ~60
+    so that the top photon-number bin carries mass."""
+    chan = ChannelModel(
+        transmittance=10.0 ** rng.uniform(-5.0, 0.0),
+        dark_count_prob=0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-8.0, -2.0),
+        misalignment=0.0 if rng.random() < 0.25 else rng.uniform(0.0, 0.1),
+        double_click_policy=policy,
+    )
+    if mode == "1decoy":
+        mu2 = 10.0 ** rng.uniform(-2.0, 1.0)
+        mus = (mu2 + 10.0 ** rng.uniform(-2.0, 1.7), mu2)
+    else:
+        mu2 = 10.0 ** rng.uniform(-1.5, 1.0)
+        mu3 = 0.0 if rng.random() < 0.25 else rng.uniform(0.01, 0.9 * mu2)
+        mus = (mu2 + mu3 + 10.0 ** rng.uniform(-2.0, 1.6), mu2, mu3)
+    w = rng.uniform(0.05, 1.0, size=len(mus))
+    probs = tuple(float(v) for v in w / w.sum())
+    probs = probs[:-1] + (1.0 - sum(probs[:-1]),)
+    params = sim_params(mu=mus, p_mu=probs, p_z=rng.uniform(0.05, 0.95),
+                        p_z_alice=rng.uniform(0.05, 0.95))
+    return chan, params
+
+
+class TestOneDetectorLaw:
+    """The optimizer's expected statistics and the coverage cells evaluate the
+    channel's one detector law: N times the cells summed over photon number
+    are the expected statistics."""
+
+    @pytest.mark.parametrize("policy", ["random", "discard"])
+    @pytest.mark.parametrize("mode", ["1decoy", "2decoy"])
+    def test_expected_stats_equal_summed_cells(self, mode, policy):
+        # Both sides take 1 - e^{-x} with x = mu eta >= 1e-7 here, whose
+        # cancellation alone costs up to ~1e-9 relative; the sides differ by
+        # at most 3.3e-10 over 12000 such cases.
+        rng = np.random.default_rng([1201, len(mode), len(policy)])
+        for _ in range(250):
+            chan, params = random_law_case(rng, mode, policy)
+            stats = expected_stats(params, chan)
+            cells = params.num_signals * cell_probabilities(params, chan)
+            for b, basis_stats in ((0, stats.z), (1, stats.x)):
+                want_det = cells[b].sum(axis=(1, 2))
+                want_err = cells[b, :, :, 1].sum(axis=1)
+                assert basis_stats.detections == pytest.approx(want_det, rel=1e-8, abs=0.0)
+                assert basis_stats.errors == pytest.approx(want_err, rel=1e-8, abs=0.0)
 
 
 class TestDeterminism:

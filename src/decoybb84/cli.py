@@ -68,7 +68,7 @@ def cmd_keylength(cfg: Config, args: argparse.Namespace) -> int:
     except NoAdmissibleKey as exc:
         print(f"no admissible key: {exc}")
         return EXIT_NO_KEY
-    lines = [f"mode = {report.mode}", f"gamma = {report.gamma:.10g}"]
+    lines = [f"mode = simplified-{mode}", f"gamma = {report.gamma:.10g}"]
     for name in ("vacuum", "single_photon", "leak_ec", "correctness", "secrecy"):
         lines.append(f"{name:<16} {report.terms[name]:+.6f}")
     lines.append(f"{'pre_floor':<16} {report.pre_floor:.6f}")
@@ -98,7 +98,7 @@ def cmd_simulate(cfg: Config, args: argparse.Namespace) -> int:
         trial_rng = np.random.Generator(np.random.Philox(seed_seq))
         rounds = generate_rounds(params, channel, params.num_signals, trial_rng)
         record = run_protocol(rounds, params, trial_rng)
-        truth = simulator.attach_oracle(record, rounds, params)
+        truth = simulator.attach_oracle(record, rounds)
         if truth is not None and record.bounds is not None:
             oracle_runs += 1
             for name, violated in simulator.bound_violations(record.bounds, truth).items():

@@ -42,6 +42,20 @@ def serialize_config(values: Dict[str, str]) -> str:
     return "\n".join(f"{key} = {values[key]}" for key in sorted(values)) + "\n"
 
 
+def _number(key: str, text: str, kind=float):
+    """``text`` parsed as ``kind`` (float or int). Every number a config
+    holds, scalar, range endpoint or list entry, passes here, so a malformed
+    or non-finite value fails with a ConfigError that names its key."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
+
+
 class Config:
     """Typed access over the raw key/value mapping, with field-path errors."""
 
@@ -60,23 +74,14 @@ class Config:
             if default is None:
                 raise ConfigError(f"missing config key {key!r}")
             return default
-        try:
-            value = float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {self.values[key]!r}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: expected a finite number, got {self.values[key]!r}")
-        return value
+        return _number(key, self.values[key])
 
     def get_int(self, key: str, default: Optional[int] = None) -> int:
         if key not in self.values:
             if default is None:
                 raise ConfigError(f"missing config key {key!r}")
             return default
-        try:
-            return int(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {self.values[key]!r}") from exc
+        return _number(key, self.values[key], int)
 
     def get_str(self, key: str, default: Optional[str] = None) -> str:
         if key not in self.values:
@@ -182,16 +187,17 @@ class Config:
                 parts = value.split(":")
                 if len(parts) != 3:
                     raise ConfigError(f"{key}: expected 'lower:upper:points', got {value!r}")
-                ranges[name] = ParamRange(float(parts[0]), float(parts[1]), int(parts[2]))
+                lower, upper = (_number(key, part) for part in parts[:2])
+                ranges[name] = ParamRange(lower, upper, _number(key, parts[2], int))
             else:
-                fixed[name] = float(value)
+                fixed[name] = _number(key, value)
         if not ranges and not fixed:
             raise ConfigError("no space.* entries configured")
         return SearchSpace(ranges=ranges, fixed=fixed)
 
     def scan_losses_db(self) -> List[float]:
         raw = self.get_str("scan.losses_db")
-        losses = [float(part) for part in raw.split(",") if part.strip()]
+        losses = [_number("scan.losses_db", part) for part in raw.split(",") if part.strip()]
         if not losses:
             raise ConfigError("scan.losses_db is empty")
         if any(b < a for a, b in zip(losses, losses[1:])):

@@ -404,10 +404,11 @@ _BasisTerms = Dict[str, Tuple[float, ...]]
 
 
 def _basis_1decoy(stats: BasisStats, intens: Intensities, ledger: EpsilonLedger) -> _BasisBounds:
-    s0_lower = vacuum_lower(stats, intens, ledger)
+    # The single-photon bound rests on s0_upper; _bound_set adds the key
+    # basis' vacuum lower bound, the only one reported.
     s0_upper, k = vacuum_upper_1decoy(stats, intens, ledger)
     s1_lower = single_lower_1decoy(stats, intens, ledger, s0_upper)
-    return {"s0_lower": s0_lower, "s0_upper": s0_upper, "s1_lower": s1_lower}, k
+    return {"s0_upper": s0_upper, "s1_lower": s1_lower}, k
 
 
 def _terms_1decoy(
@@ -457,6 +458,8 @@ def _bound_set(
     else:
         z, kz = basis_bounds(stats_z, intens, ledger)
         x, kx = basis_bounds(stats_x, intens, ledger)
+        if "s0_lower" not in z:
+            z["s0_lower"] = vacuum_lower(stats_z, intens, ledger)
 
     terms = basis_terms(ledger, stats_z.basis, intens, kz)
     x_terms = basis_terms(ledger, stats_x.basis, intens, kx)

@@ -6,9 +6,11 @@ budget, computes the extractable key length
     l = floor( s_Z0_l + s_Z1_l (1 - h(lambda_u + gamma))
                - leak_EC - correctness_term - secrecy_term ),
 
-clipped at zero, in three modes: the general 1-decoy form with free budget
-terms, and the simplified 1-decoy / 2-decoy forms where all slack variables
-collapse onto a single eps0 (eps_sec' / 15 and eps_sec' / 17 respectively).
+clipped at zero. One formula, ``key_length``, serves both protocol modes: the
+mode enters only through the concentration budget Delta_ci of the split.
+``key_length_for_mode`` evaluates it on the simplified budget, where all
+slack variables collapse onto a single eps0 (eps_sec' / 15 for 1-decoy,
+eps_sec' / 17 for 2-decoy).
 """
 
 from __future__ import annotations
@@ -26,15 +28,9 @@ from .numerics import TOL, binary_entropy, serfling_gamma
 # delta_ci the 10-term (1-decoy) or 12-term (2-decoy) concentration ledger.
 BUDGET_GEOMETRY = {"1decoy": (15, 10), "2decoy": (17, 12)}
 
-ALPHA3_NOTE = (
-    "no-smoothing regime: the bound stays valid even when the implicit "
-    "smoothing parameter reaches 1"
-)
-
-
 @dataclass(frozen=True)
 class EpsilonBudget:
-    """Free budget split for the general key-length formula.
+    """Free budget split for the key-length formula.
 
     ``nu`` is the sampling-correction failure scale, ``alpha2`` the chain-rule
     smoothing parameter, ``delta_ci`` the total concentration-inequality
@@ -119,14 +115,9 @@ class KeyLengthReport:
     length: int
     pre_floor: float
     gamma: float
-    mode: str
     terms: Dict[str, float]
     secure: bool
     notes: List[str] = field(default_factory=list)
-
-    @property
-    def no_key(self) -> bool:
-        return not self.secure
 
 
 def leak_ec_estimate(n_z: float, qber: float, f_ec: float = 1.16) -> float:
@@ -156,84 +147,74 @@ def correctness_hash_length(eps_cor: float) -> int:
     return math.ceil(math.log2(2.0 / eps_cor))
 
 
-def _single_photon_term(q: AcceptanceSet, nu: float, gamma: Optional[float]) -> tuple:
-    """(term value, gamma used, notes)."""
-    notes: List[str] = []
-    if q.s_z1 <= 0:
-        return 0.0, 0.0, ["single-photon threshold is zero; term dropped"]
-    if gamma is None:
-        gamma = gamma_for_acceptance(nu, q)
-    term = q.s_z1 * (1.0 - binary_entropy(q.lambda_u + gamma))
-    return term, gamma, notes
-
-
-def _assemble(
-    q: AcceptanceSet,
-    mode: str,
-    leak_ec: float,
-    correctness_term: float,
-    secrecy_term: float,
-    nu: float,
-    gamma: Optional[float],
-    extra_notes: List[str],
-) -> KeyLengthReport:
-    single, gamma_used, notes = _single_photon_term(q, nu, gamma)
-    terms = {
-        "vacuum": q.s_z0,
-        "single_photon": single,
-        "leak_ec": -leak_ec,
-        "correctness": -correctness_term,
-        "secrecy": -secrecy_term,
-    }
-    pre_floor = math.fsum(terms.values())
-    secure = pre_floor >= 0.0
-    length = max(math.floor(pre_floor), 0)
-    all_notes = notes + extra_notes
-    if not secure:
-        all_notes.append("abort: no key (negative pre-floor length)")
-    return KeyLengthReport(
-        length=length,
-        pre_floor=pre_floor,
-        gamma=gamma_used,
-        mode=mode,
-        terms=terms,
-        secure=secure,
-        notes=all_notes,
-    )
-
-
-def key_length_general_1decoy(
+def key_length(
     q: AcceptanceSet,
     budget: EpsilonBudget,
     leak_ec: float,
     gamma: Optional[float] = None,
 ) -> KeyLengthReport:
-    r"""General 1-decoy key length with a free budget split,
+    r"""Secure key length of either mode on the budget split ``budget``
+    (general form after Lim et al., PRA 89, 022307 (2014)),
 
     .. math::
 
         l = \Big\lfloor s_{Z,0}^l + s_{Z,1}^l (1 - h(\Lambda^u + \gamma))
-            - \mathrm{leak}_{EC}
-            - \log_2\frac{4}{\epsilon_{cor} \alpha_2^2}
-            - 2 \log_2\frac{1}{2(\epsilon_{sec}' - 2\zeta' - \Delta_{ci})}
-            \Big\rfloor .
+            - \mathrm{leak}_{EC} - \log_2\frac{2}{\epsilon_{cor}}
+            - 2 \log_2\frac{1}{2\epsilon_{PA}} - \log_2\frac{2}{\alpha_2^2}
+            \Big\rfloor ,
+
+    with the privacy-amplification slack
+    eps_PA = eps_sec' - 2 zeta' - Delta_ci (``budget.pa_slack``). The mode
+    enters only through Delta_ci. The last two logarithms form the secrecy
+    term; together with the correctness term log2(2/eps_cor) they sum to the
+    general form's log2(4/(eps_cor alpha_2^2)) + 2 log2(1/(2 eps_PA)).
+
+    Simplified budgets (``EpsilonBudget.simplified``) set nu = alpha_2 = eps0
+    and Delta_ci = t eps0, with t = 10 (1-decoy) or 12 (2-decoy) ledger
+    terms and eps0 = eps_sec'/c, c = t + 5. Then eps_PA = eps_sec' - 4 eps0
+    - t eps0 = eps0, and the secrecy term is
+    2 log2(1/(2 eps0)) + log2(2/eps0^2) = -1 - 4 log2(eps0)
+    = 4 log2(c / (eps_sec' 2^(1/4))), the closed form of the simplified key
+    length (c = 15 or 17).
 
     ``gamma`` defaults to the sampling correction at the acceptance counts
     with scale ``budget.nu``; pass an explicit value to study limiting cases.
-    The formula also covers the corner where the implicit smoothing parameter
-    reaches one (no smoothing possible): the resulting trace-distance bound
-    holds directly there, so no branching is needed.
+    The first smoothing parameter is zero, and the formula also covers the
+    no-smoothing regime where the implicit smoothing parameter reaches one:
+    the trace-distance bound holds directly there, so no branching is needed.
     """
     slack = budget.pa_slack
     if slack <= 0.0:
         raise NoAdmissibleKey(
             f"no admissible key: eps_sec' leaves no privacy-amplification slack ({slack})"
         )
-    correctness_term = math.log2(4.0 / (budget.eps_cor * budget.alpha2**2))
-    secrecy_term = 2.0 * math.log2(1.0 / (2.0 * slack))
-    return _assemble(
-        q, "general-1decoy", leak_ec, correctness_term, secrecy_term,
-        budget.nu, gamma, [ALPHA3_NOTE],
+    notes: List[str] = []
+    if q.s_z1 <= 0:
+        single, gamma = 0.0, 0.0
+        notes.append("single-photon threshold is zero; term dropped")
+    else:
+        if gamma is None:
+            gamma = gamma_for_acceptance(budget.nu, q)
+        single = q.s_z1 * (1.0 - binary_entropy(q.lambda_u + gamma))
+    secrecy = 2.0 * math.log2(1.0 / (2.0 * slack)) + math.log2(2.0 / budget.alpha2**2)
+    terms = {
+        "vacuum": q.s_z0,
+        "single_photon": single,
+        "leak_ec": -leak_ec,
+        "correctness": -math.log2(2.0 / budget.eps_cor),
+        "secrecy": -secrecy,
+    }
+    pre_floor = math.fsum(terms.values())
+    secure = pre_floor >= 0.0
+    if not secure:
+        notes.append("abort: no key (negative pre-floor length)")
+    return KeyLengthReport(
+        length=max(math.floor(pre_floor), 0),
+        pre_floor=pre_floor,
+        gamma=gamma,
+        terms=terms,
+        secure=secure,
+        notes=notes,
     )
 
 
@@ -245,29 +226,10 @@ def key_length_for_mode(
     mode: str,
     gamma: Optional[float] = None,
 ) -> KeyLengthReport:
-    r"""Simplified key length of the protocol mode ('1decoy' / '2decoy'):
-    every slack variable collapses onto eps0 = eps_sec' / c, with the budget
-    constant c = 15 (1-decoy, ten-term concentration ledger) or 17 (2-decoy,
-    twelve terms) from ``BUDGET_GEOMETRY``, giving
-
-    .. math::
-
-        l = s_{Z,0}^l + s_{Z,1}^l (1 - h(\Lambda^u + \gamma))
-            - \mathrm{leak}_{EC} - \log_2\frac{2}{\epsilon_{cor}}
-            - 4\log_2\frac{c}{\epsilon_{sec}' \sqrt[4]{2}} .
-
-    Identical (pre-floor) to the general formula under that substitution.
-    """
-    budget = EpsilonBudget.simplified(eps_cor, eps_sec_prime, mode)
-    if budget.pa_slack <= 0.0:
-        raise NoAdmissibleKey("no admissible key: degenerate simplified budget")
-    constant, _ = BUDGET_GEOMETRY[mode]
-    correctness_term = math.log2(2.0 / eps_cor)
-    secrecy_term = 4.0 * math.log2(constant / (eps_sec_prime * 2.0**0.25))
-    return _assemble(
-        q, f"simplified-{mode}", leak_ec, correctness_term, secrecy_term,
-        budget.nu, gamma, [],
-    )
+    """Key length of the protocol mode ('1decoy' / '2decoy') on its
+    simplified budget, where every slack variable is eps0 = eps_sec'/15 or
+    eps_sec'/17 (see ``key_length``)."""
+    return key_length(q, EpsilonBudget.simplified(eps_cor, eps_sec_prime, mode), leak_ec, gamma)
 
 
 def check_term_breakdown(report: KeyLengthReport) -> bool:

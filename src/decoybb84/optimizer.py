@@ -2,8 +2,9 @@
 
 The inner objective is fully analytic and deterministic: expected statistics
 for the channel model (no Monte Carlo), acceptance thresholds placed a
-configurable safety margin below the expected decoy bounds, then the
-simplified key length. Grid search and coordinate descent share the same
+configurable safety margin below the expected decoy bounds, then the key
+length on the simplified budget split (or the best of several splits when
+the split is tuned). Grid search and coordinate descent share the same
 objective; Monte Carlo validation of a chosen operating point is a separate
 step (see the simulator module).
 """
@@ -23,8 +24,7 @@ from .keylength import (
     BUDGET_GEOMETRY,
     AcceptanceSet,
     EpsilonBudget,
-    key_length_for_mode,
-    key_length_general_1decoy,
+    key_length,
     leak_ec_estimate,
 )
 from .protocol import ObservedStats, ProtocolParams
@@ -41,6 +41,8 @@ class ParamRange:
     points: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigError(f"range endpoints must be finite, got [{self.lower}, {self.upper}]")
         if self.points < 1:
             raise ConfigError("grid needs at least one point")
         if self.upper < self.lower:
@@ -77,10 +79,9 @@ class OptimizerSettings:
     margins that derive an acceptance set from expected statistics.
 
     ``tune_epsilon_split`` additionally searches the free budget split of the
-    general key-length formula (what fraction of eps_sec' the concentration
-    ledger, the smoothing terms and privacy amplification each get) instead
-    of locking everything to the simplified eps0 geometry. Off by default;
-    two-intensity mode only.
+    key-length formula (what fraction of eps_sec' the concentration ledger,
+    the smoothing terms and privacy amplification each get) instead of
+    locking everything to the simplified eps0 geometry. Off by default.
     """
 
     num_signals: int
@@ -100,8 +101,6 @@ class OptimizerSettings:
         for name in ("margin", "block_margin", "leak_margin"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1)")
-        if self.tune_epsilon_split and self.mode != "1decoy":
-            raise ConfigError("budget-split tuning is defined for the two-intensity mode only")
 
 
 def expected_stats(params: ProtocolParams, channel: ChannelModel) -> ObservedStats:
@@ -147,20 +146,21 @@ def _scaled(stats: BasisStats, block_size: float) -> BasisStats:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """A fully derived candidate: protocol parameters plus its key rate."""
+    """A fully derived candidate: protocol parameters, its key rate and the
+    budget split that rate was computed on."""
 
     params: ProtocolParams
     key_rate: float
     key_length: int
-    budget: Optional[EpsilonBudget] = None  # set when the split was tuned
+    budget: EpsilonBudget
 
 
-def _split_candidates(eps_cor: float, eps_sec_prime: float):
-    """Free budget splits for the general formula: fraction of eps_sec'
-    assigned to the concentration ledger (w_ci) and, of the remainder, to
-    privacy amplification (pa_frac). The simplified geometry (10/15, 1/5) is
-    always among the candidates, so tuning can never lose to it."""
-    constant, terms = BUDGET_GEOMETRY["1decoy"]
+def _split_candidates(eps_cor: float, eps_sec_prime: float, mode: str):
+    """Free budget splits of the mode: fraction of eps_sec' assigned to the
+    concentration ledger (w_ci) and, of the remainder, to privacy
+    amplification (pa_frac). The simplified geometry (10/15 or 12/17, then
+    1/5) is always among the candidates, so tuning can never lose to it."""
+    constant, terms = BUDGET_GEOMETRY[mode]
     for w_ci in (0.45, 0.55, terms / constant, 0.75, 0.85):
         for pa_frac in (0.08, 0.2, 0.4):
             delta_ci = w_ci * eps_sec_prime
@@ -204,12 +204,13 @@ def derive_operating_point(
     qber_z = min(z_stats.total_errors / z_stats.block_size, 0.5)
     leak = (1.0 + settings.leak_margin) * leak_ec_estimate(n_z, qber_z, settings.f_ec)
 
-    def candidate(budget: Optional[EpsilonBudget]) -> Optional[OperatingPoint]:
-        if budget is None:
-            ledger = base.ledger()
-        else:
-            _, n_ci_terms = BUDGET_GEOMETRY[intens.mode]
-            ledger = EpsilonLedger.uniform(budget.delta_ci / n_ci_terms, len(intens.values))
+    _, n_ci_terms = BUDGET_GEOMETRY[intens.mode]
+
+    def candidate(budget: EpsilonBudget) -> Optional[OperatingPoint]:
+        # The simplified budget keeps its exact eps0 entries; a tuned split
+        # spreads Delta_ci evenly over the ledger.
+        entry = budget.eps0 if budget.eps0 is not None else budget.delta_ci / n_ci_terms
+        ledger = EpsilonLedger.uniform(entry, len(intens.values))
         bounds = decoy_bounds(z_stats, x_stats, intens, ledger)
         if bounds.lambda_upper is None:
             return None
@@ -222,12 +223,7 @@ def derive_operating_point(
             n_z=n_z, n_x=n_x, s_z0=s_z0, s_z1=s_z1, s_x1=s_x1, lambda_u=lambda_u
         )
         try:
-            if budget is None:
-                report = key_length_for_mode(
-                    acceptance, settings.eps_cor, settings.eps_sec_prime, leak, intens.mode
-                )
-            else:
-                report = key_length_general_1decoy(acceptance, budget, leak)
+            report = key_length(acceptance, budget, leak)
         except (NoAdmissibleKey, EstimateUnavailable):
             # no key, or too few single-photon events for the sampling correction
             return None
@@ -238,9 +234,9 @@ def derive_operating_point(
             budget=budget,
         )
 
-    best = candidate(None)
+    best = candidate(base.budget())
     if settings.tune_epsilon_split:
-        for budget in _split_candidates(settings.eps_cor, settings.eps_sec_prime):
+        for budget in _split_candidates(settings.eps_cor, settings.eps_sec_prime, intens.mode):
             point = candidate(budget)
             if point is not None and (best is None or point.key_length > best.key_length):
                 best = point

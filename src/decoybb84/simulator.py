@@ -181,8 +181,6 @@ class OracleTruth:
     v_z: np.ndarray
     s_x: np.ndarray
     v_x: np.ndarray
-    z_detections_per_intensity: Tuple[int, ...]
-    x_detections_per_intensity: Tuple[int, ...]
 
     def spectrum(self, basis: str) -> Tuple[np.ndarray, np.ndarray]:
         if basis == "Z":
@@ -222,22 +220,12 @@ def tally_truth(
     rounds: Rounds,
     gamma_z: np.ndarray,
     gamma_x: np.ndarray,
-    n_levels: int,
     m_max: int = MAX_PHOTON_NUMBER,
 ) -> OracleTruth:
     """Photon-number tallies restricted to the sampled blocks."""
     s_z, v_z = _tally_block(rounds, gamma_z, m_max)
     s_x, v_x = _tally_block(rounds, gamma_x, m_max)
-    z_per_k = np.bincount(rounds.intensity_idx[gamma_z], minlength=n_levels)[:n_levels]
-    x_per_k = np.bincount(rounds.intensity_idx[gamma_x], minlength=n_levels)[:n_levels]
-    return OracleTruth(
-        s_z=s_z,
-        v_z=v_z,
-        s_x=s_x,
-        v_x=v_x,
-        z_detections_per_intensity=tuple(int(c) for c in z_per_k),
-        x_detections_per_intensity=tuple(int(c) for c in x_per_k),
-    )
+    return OracleTruth(s_z=s_z, v_z=v_z, s_x=s_x, v_x=v_x)
 
 
 def simulate_rounds(
@@ -256,8 +244,7 @@ def simulate_rounds(
     sifted = sift(rounds, params, rng)
     if sifted.aborted:
         return rounds, None, None
-    n_levels = len(params.intensities.values)
-    truth = tally_truth(rounds, sifted.z_block.indices, sifted.x_block.indices, n_levels)
+    truth = tally_truth(rounds, sifted.z_block.indices, sifted.x_block.indices)
     return rounds, truth, counted_stats(sifted, sifted.z_block.alice_bits)
 
 
@@ -341,14 +328,7 @@ def sample_block_tallies(
     block_x = rng.multinomial(q.n_x, cells[1].ravel() / (p_x or 1.0)).reshape(cells[1].shape)
     z, s_z, v_z = _block_tallies("Z", block_z, post_ec=True)
     x, s_x, v_x = _block_tallies("X", block_x, post_ec=False)
-    truth = OracleTruth(
-        s_z=s_z,
-        v_z=v_z,
-        s_x=s_x,
-        v_x=v_x,
-        z_detections_per_intensity=z.detections,
-        x_detections_per_intensity=x.detections,
-    )
+    truth = OracleTruth(s_z=s_z, v_z=v_z, s_x=s_x, v_x=v_x)
     return truth, ObservedStats(z=z, x=x, sifted_z=int(sifted_z), sifted_x=int(sifted_x))
 
 
@@ -563,15 +543,13 @@ def validate_bounds(
     return report
 
 
-def attach_oracle(record: RunRecord, rounds: Rounds, params: ProtocolParams) -> Optional[OracleTruth]:
+def attach_oracle(record: RunRecord, rounds: Rounds) -> Optional[OracleTruth]:
     """Fill a protocol run record's omega_b flag (all decoy bounds hold
     against ground truth) from the simulator's photon tags. Returns the truth
     tallies, or None when the run aborted before blocks existed."""
     if record.gamma_z is None or record.bounds is None:
         return None
-    truth = tally_truth(
-        rounds, record.gamma_z, record.gamma_x, len(params.intensities.values)
-    )
+    truth = tally_truth(rounds, record.gamma_z, record.gamma_x)
     flags = bound_violations(record.bounds, truth)
     record.omega_b = not any(flags.values())
     return truth

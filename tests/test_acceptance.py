@@ -16,10 +16,15 @@ from decoybb84.decoy import EpsilonLedger, Intensities
 from decoybb84.keylength import (
     AcceptanceSet,
     EpsilonBudget,
+    key_length,
     key_length_for_mode,
-    key_length_general_1decoy,
 )
-from decoybb84.numerics import entropy_comparison, spiked_uniform_entropies
+from decoybb84.numerics import (
+    binary_entropy,
+    entropy_comparison,
+    serfling_gamma,
+    spiked_uniform_entropies,
+)
 from decoybb84.protocol import ProtocolParams, error_correct, precompute_key_length
 from decoybb84.simulator import (
     ChannelModel,
@@ -81,26 +86,37 @@ def test_criterion_1_budget_constants():
 
 
 def test_criterion_2_general_equals_simplified():
-    """General key length under the eps0 substitution equals the simplified
-    form pre-floor to 1e-9 over a 1000-point random sweep."""
-    rng = philox(2026)
-    worst = 0.0
-    for _ in range(1000):
-        n_z = int(rng.integers(10**3, 10**6))
-        n_x = int(rng.integers(10**3, 10**6))
-        s_z1 = int(rng.integers(1, n_z // 2))
-        q = AcceptanceSet(
-            n_z=n_z, n_x=n_x, s_z0=float(rng.uniform(0, n_z - s_z1)), s_z1=s_z1,
-            s_x1=int(rng.integers(1, n_x)), lambda_u=float(rng.uniform(0, 0.5)),
-        )
-        eps_cor = 10.0 ** rng.uniform(-16, -4)
-        esp = 10.0 ** rng.uniform(-12, -6)
-        leak = float(rng.uniform(0, q.n_z))
-        budget = EpsilonBudget.simplified(eps_cor, esp, "1decoy")
-        general = key_length_general_1decoy(q, budget, leak)
-        simplified = key_length_for_mode(q, eps_cor, esp, leak, "1decoy")
-        worst = max(worst, abs(general.pre_floor - simplified.pre_floor))
-    report("2 (general = simplified)", worst <= 1e-9, f"max |diff| = {worst:.2e}")
+    """General key length under the eps0 substitution equals the closed
+    simplified form s_z0 + s_z1 (1 - h(lambda + gamma)) - leak
+    - log2(2/eps_cor) - 4 log2(c/(eps' 2^(1/4))) pre-floor to 1e-9 over a
+    1000-point random sweep in each mode (c = 15 for 1-decoy, 17 for
+    2-decoy)."""
+    worst = {}
+    for mode, constant in (("1decoy", 15), ("2decoy", 17)):
+        rng = philox(2026)
+        worst[mode] = 0.0
+        for _ in range(1000):
+            n_z = int(rng.integers(10**3, 10**6))
+            n_x = int(rng.integers(10**3, 10**6))
+            s_z1 = int(rng.integers(1, n_z // 2))
+            q = AcceptanceSet(
+                n_z=n_z, n_x=n_x, s_z0=float(rng.uniform(0, n_z - s_z1)), s_z1=s_z1,
+                s_x1=int(rng.integers(1, n_x)), lambda_u=float(rng.uniform(0, 0.5)),
+            )
+            eps_cor = 10.0 ** rng.uniform(-16, -4)
+            esp = 10.0 ** rng.uniform(-12, -6)
+            leak = float(rng.uniform(0, q.n_z))
+            general = key_length(q, EpsilonBudget.simplified(eps_cor, esp, mode), leak)
+            gamma = serfling_gamma(esp / constant, q.s_z1, q.s_x1)
+            closed = math.fsum([
+                q.s_z0, q.s_z1 * (1.0 - binary_entropy(q.lambda_u + gamma)), -leak,
+                -math.log2(2.0 / eps_cor), -4.0 * math.log2(constant / (esp * 2**0.25)),
+            ])
+            worst[mode] = max(worst[mode], abs(general.pre_floor - closed))
+    report(
+        "2 (general = simplified)", max(worst.values()) <= 1e-9,
+        ", ".join(f"{mode} max |diff| = {w:.2e}" for mode, w in worst.items()),
+    )
 
 
 def test_criterion_3_half_mass_entropy_example():

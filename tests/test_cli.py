@@ -309,6 +309,13 @@ class TestOptimizeCommand:
         assert lines[0] == "mu1,mu2,p_mu1,p_z,key_rate"
         assert len(lines) == 1 + 9
 
+    def test_non_finite_range_endpoint_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "opt.cfg"
+        path.write_text(OPTIMIZE_CONFIG.replace("space.mu1 = 0.6:0.9:3", "space.mu1 = 0.5:nan:3"))
+        assert cli.main(["optimize", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "space.mu1" in err
+
 
 class TestScanCommand:
     def test_scan_csv_contract(self, tmp_path, capsys):
@@ -331,3 +338,10 @@ class TestScanCommand:
         path = tmp_path / "scan.cfg"
         path.write_text(OPTIMIZE_CONFIG + "scan.losses_db = 5,1\n")
         assert cli.main(["scan", "--config", str(path)]) == cli.EXIT_ERROR
+
+    def test_non_finite_loss_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "scan.cfg"
+        path.write_text(OPTIMIZE_CONFIG + "scan.losses_db = 0,nan,30\n")
+        assert cli.main(["scan", "--config", str(path)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scan.losses_db" in err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decoybb84 import decoy
 from decoybb84.decoy import (
     BasisStats,
     EpsilonLedger,
@@ -516,6 +517,25 @@ class TestDecoyBounds:
         )
         reported = {name for name in self.BOUND_FIELDS if getattr(bounds, name) is not None}
         assert set(bounds.budgets) == reported
+
+    @pytest.mark.parametrize("mode, calls", [("1decoy", 1), ("2decoy", 2)])
+    def test_vacuum_lower_only_where_read(self, mode, calls, monkeypatch):
+        # 1-decoy reads the vacuum lower bound in the key basis only; 2-decoy
+        # feeds it to the single-photon bound of both bases.
+        _, intens, cases = self.CASES[mode]
+        det_z, err_z, det_x, err_x = cases["regular"]
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return vacuum_lower(*args)
+
+        monkeypatch.setattr(decoy, "vacuum_lower", counted)
+        decoy_bounds(
+            make_stats("Z", det_z, err_z), make_stats("X", det_x, err_x), intens,
+            nonuniform_ledger(philox(3), len(intens.values)),
+        )
+        assert len(seen) == calls
 
 
 def counts_strategy(n_levels):

@@ -1,5 +1,6 @@
 """Key-length calculator tests: budget constants, worked values (mpmath
-oracle), general/simplified equality and monotonicity."""
+oracle), the one formula against the published general and simplified
+forms, and monotonicity."""
 
 import math
 from dataclasses import replace
@@ -16,10 +17,11 @@ from decoybb84.keylength import (
     check_term_breakdown,
     correctness_hash_length,
     gamma_for_acceptance,
+    key_length,
     key_length_for_mode,
-    key_length_general_1decoy,
     leak_ec_estimate,
 )
+from decoybb84.numerics import binary_entropy
 
 from conftest import philox
 
@@ -111,7 +113,7 @@ class TestWorkedExample:
 
     def test_general_matches_simplified_on_worked_example(self):
         budget = EpsilonBudget.simplified(1e-15, 1e-9, "1decoy")
-        general = key_length_general_1decoy(WORKED_Q, budget, 200.0, gamma=0.0)
+        general = key_length(WORKED_Q, budget, 200.0, gamma=0.0)
         simplified = key_length_for_mode(WORKED_Q, 1e-15, 1e-9, 200.0, "1decoy", gamma=0.0)
         assert general.pre_floor == pytest.approx(simplified.pre_floor, abs=1e-9)
         assert general.length == simplified.length == 714
@@ -153,19 +155,41 @@ def random_acceptance(rng):
 
 class TestGeneralSimplifiedEquality:
     def test_random_sweep(self):
+        # On free budget splits the regrouped correctness and secrecy terms sum
+        # to the published general form log2(4/(eps_cor alpha2^2)) +
+        # 2 log2(1/(2 eps_PA)); on the simplified split of either mode they
+        # equal the closed form log2(2/eps_cor) + 4 log2(c/(eps' 2^(1/4))).
         rng = philox(11)
-        worst = 0.0
+        worst_general = worst_closed = 0.0
         for _ in range(1000):
             q = random_acceptance(rng)
             eps_cor = 10.0 ** rng.uniform(-16, -4)
             esp = 10.0 ** rng.uniform(-12, -6)
             leak = float(rng.uniform(0, q.n_z))
-            budget = EpsilonBudget.simplified(eps_cor, esp, "1decoy")
-            general = key_length_general_1decoy(q, budget, leak)
-            simplified = key_length_for_mode(q, eps_cor, esp, leak, "1decoy")
-            worst = max(worst, abs(general.pre_floor - simplified.pre_floor))
-            assert general.gamma == simplified.gamma
-        assert worst <= 1e-9
+            w_nu, w_alpha2, w_ci = rng.uniform(0.01, 0.15, size=3)
+            free = EpsilonBudget(
+                eps_cor=eps_cor, eps_sec_prime=esp,
+                nu=w_nu * esp, alpha2=w_alpha2 * esp, delta_ci=w_ci * esp,
+            )
+            report = key_length(q, free, leak)
+            reference = math.fsum([
+                q.s_z0, q.s_z1 * (1.0 - binary_entropy(q.lambda_u + report.gamma)), -leak,
+                -math.log2(4.0 / (eps_cor * free.alpha2**2)),
+                -2.0 * math.log2(1.0 / (2.0 * free.pa_slack)),
+            ])
+            worst_general = max(worst_general, abs(report.pre_floor - reference))
+            assert report.gamma == gamma_for_acceptance(free.nu, q)
+            mode = ("1decoy", "2decoy")[int(rng.integers(0, 2))]
+            constant = {"1decoy": 15, "2decoy": 17}[mode]
+            report = key_length(q, EpsilonBudget.simplified(eps_cor, esp, mode), leak)
+            reference = math.fsum([
+                q.s_z0, q.s_z1 * (1.0 - binary_entropy(q.lambda_u + report.gamma)), -leak,
+                -math.log2(2.0 / eps_cor), -4.0 * math.log2(constant / (esp * 2**0.25)),
+            ])
+            worst_closed = max(worst_closed, abs(report.pre_floor - reference))
+            assert report.gamma == gamma_for_acceptance(esp / constant, q)
+        assert worst_general <= 1e-9
+        assert worst_closed <= 1e-9
 
 
 class TestKeyLengthBehavior:
@@ -190,7 +214,7 @@ class TestKeyLengthBehavior:
     def test_budget_violation_raises(self):
         budget = EpsilonBudget(eps_cor=0.1, eps_sec_prime=0.5, nu=0.2, alpha2=0.2, delta_ci=0.2)
         with pytest.raises(NoAdmissibleKey):
-            key_length_general_1decoy(WORKED_Q, budget, 0.0, gamma=0.0)
+            key_length(WORKED_Q, budget, 0.0, gamma=0.0)
 
     def test_two_decoy_never_beats_one_decoy(self):
         rng = philox(13)

@@ -2,6 +2,7 @@
 coordinate-descent searches, feasibility and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from decoybb84.optimizer import (
     OptimizerSettings,
     ParamRange,
     SearchSpace,
+    _split_candidates,
     derive_operating_point,
     evaluate,
     expected_stats,
@@ -153,6 +155,11 @@ class TestSearchSpace:
         with pytest.raises(ConfigError):
             SearchSpace(ranges={})
 
+    @pytest.mark.parametrize("lower, upper", [(0.5, math.nan), (math.nan, 0.9), (0.5, math.inf)])
+    def test_non_finite_range_rejected(self, lower, upper):
+        with pytest.raises(ConfigError, match="finite"):
+            ParamRange(lower, upper, 3)
+
 
 class TestOptimize:
     SPACE = SearchSpace(
@@ -245,14 +252,24 @@ class TestEpsilonSplitTuning:
         a = derive_operating_point(self.INTENS, 0.6, GOOD_CHANNEL, tuned_settings)
         b = derive_operating_point(self.INTENS, 0.6, GOOD_CHANNEL, tuned_settings)
         assert a.key_length == b.key_length
-        assert (a.budget is None) == (b.budget is None)
+        assert a.budget == b.budget
 
-    def test_rejected_for_three_intensities(self):
-        with pytest.raises(ConfigError):
-            OptimizerSettings(
-                num_signals=10**6, eps_cor=1e-12, eps_sec_prime=1e-9, mode="2decoy",
-                tune_epsilon_split=True,
-            )
+    def test_tuned_split_never_loses_to_simplified_three_intensities(self):
+        intens = Intensities(values=(0.8, 0.25, 0.05), probabilities=(0.5, 0.3, 0.2))
+        plain_settings = settings(n=10**6, mode="2decoy")
+        plain = derive_operating_point(intens, 0.6, GOOD_CHANNEL, plain_settings)
+        tuned_settings = replace(plain_settings, tune_epsilon_split=True)
+        tuned = derive_operating_point(intens, 0.6, GOOD_CHANNEL, tuned_settings)
+        assert plain.key_length > 0
+        assert tuned.key_length >= plain.key_length
+        # The 2-decoy simplified split (Delta_ci = 12 eps0, nu = alpha2 = eps0,
+        # eps0 = eps'/17) is among the candidates.
+        eps0 = 1e-9 / 17
+        assert any(
+            b.delta_ci == pytest.approx(12 * eps0, rel=1e-12)
+            and b.nu == b.alpha2 == pytest.approx(eps0, rel=1e-12)
+            for b in _split_candidates(1e-12, 1e-9, "2decoy")
+        )
 
 
 class TestEvaluate:

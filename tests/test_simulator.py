@@ -158,7 +158,6 @@ class TestOracleTruth:
             # total errors decompose over photon number exactly
             assert int(truth.v_z.sum()) == int(sum(observed.z.errors))
             assert int(truth.v_x.sum()) == int(sum(observed.x.errors))
-            assert truth.z_detections_per_intensity == observed.z.detections
 
     def test_expected_detections_decomposition(self):
         # sum_k n*_k = N_b: the posterior decomposition is a partition.
